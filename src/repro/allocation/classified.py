@@ -55,6 +55,20 @@ class ClassifiedBranchAllocator:
         )
         #: the §5.2 graph: same-class biased edges removed
         self.graph = drop_same_class_biased_edges(raw, self.classes)
+        # Everything but the mixed branches' colouring is independent of
+        # the table size, so the sizing search's probes share it.
+        self._biased: Dict[int, int] = {}
+        mixed_nodes = []
+        for pc in self.graph.nodes():
+            bias = self.classes.get(pc, BiasClass.MIXED)
+            if bias is BiasClass.TAKEN_BIASED:
+                self._biased[pc] = TAKEN_ENTRY
+            elif bias is BiasClass.NOT_TAKEN_BIASED:
+                self._biased[pc] = NOT_TAKEN_ENTRY
+            else:
+                mixed_nodes.append(pc)
+        self._mixed_graph = self.graph.subgraph(mixed_nodes)
+        self._edges = list(self.graph.edges())
 
     def allocate(self, bht_size: int) -> AllocationResult:
         """Assign branches to *bht_size* entries with two reserved slots.
@@ -68,20 +82,9 @@ class ClassifiedBranchAllocator:
                 f"bht_size must exceed {RESERVED_ENTRIES} reserved entries, "
                 f"got {bht_size}"
             )
-        assignment: Dict[int, int] = {}
-        mixed_nodes = []
-        for pc in self.graph.nodes():
-            bias = self.classes.get(pc, BiasClass.MIXED)
-            if bias is BiasClass.TAKEN_BIASED:
-                assignment[pc] = TAKEN_ENTRY
-            elif bias is BiasClass.NOT_TAKEN_BIASED:
-                assignment[pc] = NOT_TAKEN_ENTRY
-            else:
-                mixed_nodes.append(pc)
-
-        mixed_graph = self.graph.subgraph(mixed_nodes)
+        assignment = dict(self._biased)
         coloring = color_graph(
-            mixed_graph,
+            self._mixed_graph,
             bht_size - RESERVED_ENTRIES,
             color_offset=RESERVED_ENTRIES,
         )
@@ -91,7 +94,7 @@ class ClassifiedBranchAllocator:
         # branches sharing a reserved entry contribute only via edges the
         # filter kept (i.e. cross-class or biased-vs-mixed conflicts).
         cost = 0
-        for a, b, count in self.graph.edges():
+        for a, b, count in self._edges:
             if assignment[a] == assignment[b]:
                 cost += count
         return AllocationResult(

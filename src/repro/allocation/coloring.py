@@ -25,12 +25,21 @@ balancing spreads branches over the whole table exactly the way the paper's
 one-to-one intent implies when the table is big enough.
 
 The result is deterministic: ties break on PC.
+
+Both phases run in O((nodes + edges) log nodes), independent of the colour
+count: simplify keeps lazy ``(degree, pc)`` and ``(weighted_degree, pc)``
+heaps instead of rescanning the remaining nodes, and select keeps a lazy
+``(load, colour)`` heap over the colours in use instead of scanning the
+palette (the sizing search probes up to 65,536 colours).  They walk the
+graph's cached index form (:meth:`ConflictGraph.indexed`), which the
+sizing search's many probes of one graph share.
 """
 
 from __future__ import annotations
 
+import heapq
 from dataclasses import dataclass
-from typing import Dict, List, Set, Tuple
+from typing import Dict, List, Optional, Set, Tuple
 
 from ..analysis.conflict_graph import ConflictGraph
 
@@ -76,59 +85,111 @@ def color_graph(
     """
     if colors <= 0:
         raise ValueError(f"colors must be positive, got {colors}")
+    pcs, neighbors, weights, node_weights = graph.indexed()
+    n = len(pcs)
+    push, pop = heapq.heappush, heapq.heappop
 
     # ---- simplify ----------------------------------------------------------
-    degrees: Dict[int, int] = {pc: graph.degree(pc) for pc in graph.nodes()}
-    weighted: Dict[int, int] = {
-        pc: graph.weighted_degree(pc) for pc in graph.nodes()
-    }
-    remaining: Set[int] = set(degrees)
-    # bucket of currently-simplifiable nodes (degree < colors)
+    # Lazy heaps over nodes (index order is PC order), keyed as the ints
+    # ``degree * n + node`` and ``weighted_degree * n + node``, which order
+    # exactly like the tuples.  Both degrees only ever fall, and every fall
+    # of a node on a heap pushes a fresh entry, so the first entry popped
+    # for a remaining node is its current one; the older entries pop later
+    # and are skipped as the node is gone by then.
+    degrees = [len(nbrs) for nbrs in neighbors]
+    weighted = [sum(counts) for counts in weights]
+    remaining = [True] * n
+    # currently-simplifiable nodes (degree < colors), lightest first
+    simplifiable = [d * n + i for i, d in enumerate(degrees) if d < colors]
+    heapq.heapify(simplifiable)
+    # overflow candidates, fewest conflicts first; built on first overflow
+    overflow: Optional[List[int]] = None
     stack: List[int] = []
-    while remaining:
-        simplifiable = [pc for pc in remaining if degrees[pc] < colors]
-        if simplifiable:
-            # remove all currently simplifiable nodes, lightest first for
-            # determinism (order within this batch does not affect safety)
-            simplifiable.sort(key=lambda pc: (degrees[pc], pc))
-            victim = simplifiable[0]
-        else:
+    for _ in range(n):
+        victim = -1
+        while simplifiable:
+            node = pop(simplifiable) % n
+            if remaining[node]:
+                victim = node
+                break
+        if victim < 0:
             # overflow: the paper's rule — fewest conflicts shares
-            victim = min(remaining, key=lambda pc: (weighted[pc], pc))
+            if overflow is None:
+                overflow = [
+                    weighted[i] * n + i for i in range(n) if remaining[i]
+                ]
+                heapq.heapify(overflow)
+            while True:
+                node = pop(overflow) % n
+                if remaining[node]:
+                    victim = node
+                    break
         stack.append(victim)
-        remaining.discard(victim)
-        for neighbor, weight in graph.neighbors(victim).items():
-            if neighbor in remaining:
-                degrees[neighbor] -= 1
-                weighted[neighbor] -= weight
+        remaining[victim] = False
+        for node, count in zip(neighbors[victim], weights[victim]):
+            if remaining[node]:
+                degree = degrees[node] - 1
+                degrees[node] = degree
+                if degree < colors:
+                    push(simplifiable, degree * n + node)
+                weight = weighted[node] - count
+                weighted[node] = weight
+                if overflow is not None:
+                    push(overflow, weight * n + node)
 
     # ---- select ------------------------------------------------------------
-    assignment: Dict[int, int] = {}
+    # Every used colour carries load >= 1, so while unused colours remain
+    # the least-loaded free colour is the lowest unused one (colours are
+    # used in palette order, and a neighbour's colour is always used) and
+    # no neighbour needs looking at.  Once all are used, a lazy heap keyed
+    # ``load * colors + colour`` yields the least-loaded colour no
+    # neighbour holds.  A same-colour edge is counted into the cost when
+    # its second endpoint is coloured.  Colours are 0-based until the end.
+    color = [-1] * n
     shared: Set[int] = set()
-    palette = list(range(color_offset, color_offset + colors))
-    load: Dict[int, int] = {color: 0 for color in palette}
-    while stack:
-        pc = stack.pop()
-        neighbor_colors: Dict[int, int] = {}
-        for neighbor, weight in graph.neighbors(pc).items():
-            color = assignment.get(neighbor)
-            if color is not None:
-                neighbor_colors[color] = neighbor_colors.get(color, 0) + weight
-        free = [color for color in palette if color not in neighbor_colors]
-        if free:
-            # conflict-free: balance execution weight across the table
-            chosen = min(free, key=lambda c: (load[c], c))
-        else:
-            # every colour conflicts: take the cheapest one
-            chosen = min(palette, key=lambda c: (neighbor_colors[c], c))
-            shared.add(pc)
-        assignment[pc] = chosen
-        load[chosen] += graph.node_weight(pc) or 1
-
     cost = 0
-    for a, b, count in graph.edges():
-        if assignment[a] == assignment[b]:
-            cost += count
+    next_unused = 0
+    load: Dict[int, int] = {}
+    by_load: List[int] = []
+    for node in reversed(stack):
+        if next_unused < colors:
+            chosen = next_unused
+            next_unused += 1
+            load[chosen] = 0
+        else:
+            # (uncoloured neighbours add -1, which is never a colour)
+            taken = {color[other] for other in neighbors[node]}
+            chosen = -1
+            blocked: List[int] = []
+            while by_load:
+                key = pop(by_load)
+                used, c = divmod(key, colors)
+                if load[c] != used:
+                    continue  # stale: that colour's load has grown
+                if c in taken:
+                    blocked.append(key)
+                    continue
+                chosen = c
+                break
+            for key in blocked:
+                push(by_load, key)
+            if chosen < 0:
+                # every colour conflicts: take the cheapest one
+                conflict: Dict[int, int] = {}
+                for other, count in zip(neighbors[node], weights[node]):
+                    c = color[other]
+                    if c >= 0:
+                        conflict[c] = conflict.get(c, 0) + count
+                chosen = min(conflict, key=lambda c: (conflict[c], c))
+                shared.add(pcs[node])
+                cost += conflict[chosen]
+        color[node] = chosen
+        load[chosen] += node_weights[node] or 1
+        push(by_load, load[chosen] * colors + chosen)
+    assignment = {
+        pcs[node]: color[node] + color_offset for node in reversed(stack)
+    }
+
     return ColoringResult(
         assignment=assignment,
         colors=colors,

@@ -13,11 +13,30 @@ purpose-built structure.
 
 from __future__ import annotations
 
-from typing import Callable, Dict, Iterable, Iterator, List, Optional, Tuple
+from typing import (
+    Callable,
+    Dict,
+    Iterable,
+    Iterator,
+    List,
+    NamedTuple,
+    Optional,
+    Tuple,
+)
 
 from ..profiling.profile import InterleaveProfile, pair_key
 
 DEFAULT_THRESHOLD = 100
+
+
+class IndexedGraph(NamedTuple):
+    """A graph's adjacency over dense node indices (node ``i`` is
+    ``pcs[i]``, PCs ascending, so index order is PC order)."""
+
+    pcs: List[int]
+    neighbors: List[List[int]]
+    weights: List[List[int]]  # edge count per neighbour, same order
+    node_weights: List[int]
 
 
 class ConflictGraph:
@@ -26,11 +45,13 @@ class ConflictGraph:
     def __init__(self) -> None:
         self._adjacency: Dict[int, Dict[int, int]] = {}
         self._node_weight: Dict[int, int] = {}
+        self._indexed: Optional[IndexedGraph] = None
 
     # -- construction ---------------------------------------------------------
 
     def add_node(self, pc: int, weight: int = 0) -> None:
         """Add branch *pc* (idempotent); *weight* is its execution count."""
+        self._indexed = None
         if pc not in self._adjacency:
             self._adjacency[pc] = {}
         self._node_weight[pc] = max(self._node_weight.get(pc, 0), weight)
@@ -47,11 +68,13 @@ class ConflictGraph:
             raise ValueError(f"edge count must be positive, got {count}")
         self.add_node(a)
         self.add_node(b)
+        self._indexed = None
         self._adjacency[a][b] = self._adjacency[a].get(b, 0) + count
         self._adjacency[b][a] = self._adjacency[b].get(a, 0) + count
 
     def remove_edge(self, a: int, b: int) -> None:
         """Remove the edge between *a* and *b* if present."""
+        self._indexed = None
         self._adjacency.get(a, {}).pop(b, None)
         self._adjacency.get(b, {}).pop(a, None)
 
@@ -93,6 +116,21 @@ class ConflictGraph:
     def weighted_degree(self, pc: int) -> int:
         """Sum of incident edge counts."""
         return sum(self._adjacency.get(pc, {}).values())
+
+    def indexed(self) -> IndexedGraph:
+        """The adjacency over dense node indices, cached until the graph
+        next changes (the sizing search colours one graph many times)."""
+        if self._indexed is None:
+            pcs = self.nodes()
+            index = {pc: i for i, pc in enumerate(pcs)}
+            adjacency = [self._adjacency[pc] for pc in pcs]
+            self._indexed = IndexedGraph(
+                pcs=pcs,
+                neighbors=[[index[b] for b in nbrs] for nbrs in adjacency],
+                weights=[list(nbrs.values()) for nbrs in adjacency],
+                node_weights=[self._node_weight.get(pc, 0) for pc in pcs],
+            )
+        return self._indexed
 
     def edges(self) -> Iterator[Tuple[int, int, int]]:
         """Yield (low PC, high PC, count), deterministically ordered."""

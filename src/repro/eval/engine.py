@@ -8,10 +8,10 @@ dominant wall-clock cost is simulating the analog suite.  The
   worker processes (``jobs=N``; ``N=1`` is a plain sequential loop
   in-process).
 * **Content-addressed caching** — artifacts are keyed on a digest of the
-  assembled program image, its input bytes and the capture parameters,
-  so editing a kernel (or the assembler, via the emitted image)
-  invalidates stale traces automatically and warm runs skip simulation
-  entirely.
+  generated assembly source, its input bytes, the capture parameters and
+  a fingerprint of the assembler/encoder sources, so editing a kernel
+  (or the assembler) invalidates stale traces automatically and warm
+  runs skip simulation — and assembly — entirely.
 
 And, because the paper's sweeps are long multi-benchmark runs where one
 bad job must not discard hours of completed work, the engine is built to
@@ -37,6 +37,7 @@ accept either interchangeably.
 from __future__ import annotations
 
 import dataclasses
+import functools
 import hashlib
 import json
 import os
@@ -73,14 +74,27 @@ from ..profiling.profile import InterleaveProfile
 from ..sim.api import get_backend
 from ..trace.events import BranchTrace
 from ..trace.io import load_trace, read_trace_meta, save_trace
-from ..workloads.build import BuiltWorkload, build_workload, run_workload
+from ..workloads.build import (
+    WorkloadSpec,
+    build_workload,
+    run_workload,
+    workload_input,
+    workload_source,
+)
 from ..workloads.suite import get_benchmark
 from . import faults, interrupt
 from .shards import ShardSpec, shard_names
 
 #: Bump to invalidate every stored artifact (digest input change).
 #: v2: the simulation backend became a digest component.
-DIGEST_VERSION = 2
+#: v3: the generated assembly source plus a fingerprint of the assembler
+#: and encoder sources replace the assembled image.
+DIGEST_VERSION = 3
+
+#: Packages whose sources turn assembly text into the simulated image,
+#: under the ``repro`` source root.
+_TOOLCHAIN_PACKAGES = ("asm", "isa")
+_SOURCE_ROOT = Path(__file__).resolve().parent.parent
 
 #: Scheduler poll interval while parallel jobs are in flight (seconds).
 _POLL_SECONDS = 0.02
@@ -136,46 +150,67 @@ class JobSpec:
         return tag
 
 
+@functools.lru_cache(maxsize=None)
+def toolchain_fingerprint() -> str:
+    """SHA-256 over the ``repro.asm`` and ``repro.isa`` module sources.
+
+    Digests hash assembly *text*, so the code that assembles and encodes
+    that text must be a digest input too: an assembler or encoder edit
+    changes this fingerprint and with it every digest.  Computed once
+    per process.
+    """
+    hasher = hashlib.sha256()
+    for package in _TOOLCHAIN_PACKAGES:
+        for path in sorted((_SOURCE_ROOT / package).rglob("*.py")):
+            relative = path.relative_to(_SOURCE_ROOT).as_posix()
+            hasher.update(relative.encode("utf-8"))
+            hasher.update(b"\x00")
+            hasher.update(path.read_bytes())
+            hasher.update(b"\x00")
+    return hasher.hexdigest()
+
+
 def artifact_digest(
-    built: BuiltWorkload,
+    workload: WorkloadSpec,
     trace_limit: Optional[int] = None,
     backend: str = "interp",
 ) -> str:
-    """Content digest for one job's artifacts.
+    """Content digest for one job's artifacts (no assembly).
 
-    Hashes the assembled program image (text + data + entry point), the
-    input bytes, and every parameter that changes what a capture run
-    records (random seed, fuel budget, trace limit).  Anything that
-    alters the simulated instruction stream alters the digest.  The
-    simulation backend is also a component: backends are verified
-    byte-compatible, but artifacts must record exactly how they were
-    produced, so different backends never alias in the store.
+    Hashes the generated assembly source (driver + kernel bodies), the
+    input bytes, every parameter that changes what a capture run records
+    (random seed, fuel budget, trace limit), and the toolchain
+    fingerprint.  The source and the assembler/encoder code together fix
+    the program image, so anything that alters the simulated instruction
+    stream alters the digest.  The simulation backend is also a
+    component: backends are verified byte-compatible, but artifacts must
+    record exactly how they were produced, so different backends never
+    alias in the store.
     """
-    text, data = built.program.to_image()
+    source, _ = workload_source(workload)
     hasher = hashlib.sha256()
     for part in (
         f"v{DIGEST_VERSION}",
-        f"entry:{built.program.entry_point}",
-        f"seed:{built.spec.random_seed}",
-        f"fuel:{built.spec.fuel}",
+        f"toolchain:{toolchain_fingerprint()}",
+        f"seed:{workload.random_seed}",
+        f"fuel:{workload.fuel}",
         f"limit:{trace_limit or 0}",
         f"backend:{backend}",
     ):
         hasher.update(part.encode("ascii"))
         hasher.update(b"\x00")
-    hasher.update(text)
+    hasher.update(source.encode("utf-8"))
     hasher.update(b"\x00")
-    hasher.update(data)
-    hasher.update(b"\x00")
-    hasher.update(built.input_data)
+    hasher.update(workload_input(workload))
     return hasher.hexdigest()
 
 
 def compute_job_digest(spec: JobSpec) -> str:
-    """Build the workload for *spec* and digest it (no simulation)."""
-    built = build_workload(get_benchmark(spec.name, scale=spec.scale))
+    """Digest the workload for *spec* (no assembly, no simulation)."""
     return artifact_digest(
-        built, trace_limit=spec.trace_limit, backend=spec.backend
+        get_benchmark(spec.name, scale=spec.scale),
+        trace_limit=spec.trace_limit,
+        backend=spec.backend,
     )
 
 
@@ -558,9 +593,10 @@ def _execute_job(
 ) -> JobResult:
     """Run one job end to end (pool worker; must stay module-level).
 
-    Builds, digests, then either loads from the store or simulates and
-    stores.  With a store the result carries no arrays — the parent
-    reloads them by digest — so the pickle pipe stays small.
+    Digests, then either verifies the stored artifacts or assembles,
+    simulates and stores: a store hit never assembles the program.  With
+    a store the result carries no arrays — the parent reloads them by
+    digest — so the pickle pipe stays small.
 
     With a checkpoint cadence (``checkpoint_every`` events) and a store,
     the simulation runs through the sliced checkpoint runner: it resumes
@@ -595,9 +631,9 @@ def _execute_job(
         plan.on_job_start(spec.name, in_worker)
     if progress is not None:
         progress(spec.name, 0)
-    built = build_workload(get_benchmark(spec.name, scale=spec.scale))
+    workload = get_benchmark(spec.name, scale=spec.scale)
     digest = artifact_digest(
-        built, trace_limit=spec.trace_limit, backend=spec.backend
+        workload, trace_limit=spec.trace_limit, backend=spec.backend
     )
     store = ArtifactStore(Path(cache_root)) if cache_root else None
     ckpt_store = None
@@ -647,6 +683,8 @@ def _execute_job(
             progress(spec.name, events)
 
     try:
+        # a miss: only now is the program assembled
+        built = build_workload(workload)
         # one pass: the bus fans each branch event to the profiler and
         # the chunked trace builder together (no capture-then-replay)
         profiler = InterleaveConsumer(label=spec.name)
@@ -1141,7 +1179,7 @@ class ExecutionEngine:
         )
 
     def digest(self, name: str) -> str:
-        """Content digest of *name*'s artifacts (builds, never simulates)."""
+        """Content digest of *name*'s artifacts (never assembles)."""
         cached = self._digests.get(name)
         if cached is None:
             cached = compute_job_digest(self.job(name))
@@ -1262,10 +1300,8 @@ class ExecutionEngine:
                 pipeline=stats,
             )
         started = time.perf_counter()
+        digest = self.digest(name)
         built = build_workload(get_benchmark(name, scale=self.scale))
-        digest = artifact_digest(
-            built, trace_limit=self.trace_limit, backend=self.backend
-        )
         profiler = InterleaveConsumer(label=name)
         do_archive = archive if archive is not None else (
             self.store is not None
@@ -1290,7 +1326,6 @@ class ExecutionEngine:
             if self.store is not None:
                 self.store.put(self.job(name), digest, artifacts)
             self._memo[name] = artifacts
-        self._digests[name] = digest
         self.stats.fused_runs += 1
         self.stats.pipeline.merge(stats)
         self.stats.job_seconds[name] = time.perf_counter() - started
@@ -1416,9 +1451,9 @@ class ExecutionEngine:
         """The journal-recorded artifact digest for *name*, if resuming."""
         if not self.resume or self.journal is None:
             return None
-        return self.journal.completed(self.scale, self.trace_limit).get(
-            name
-        )
+        return self.journal.completed(
+            self.scale, self.trace_limit, backend=self.backend
+        ).get(name)
 
     def _run_sequential_job(self, name: str) -> JobResult:
         """Run one job in-process with the retry policy, then absorb it."""
@@ -1501,6 +1536,7 @@ class ExecutionEngine:
         already durable in the checkpoint.
         """
         cache_root = self._cache_root()
+        toolchain_fingerprint()  # once, before the forks that digest
         # (spec, attempt, not_before) — not_before implements backoff
         # without stalling the scheduler.
         pending: List[Tuple[JobSpec, int, float]] = [

@@ -23,9 +23,12 @@ Two event sources feed the same consumer API:
 Chunks carry both representations lazily (:class:`EventChunk`): consumers
 that iterate events share one ``tolist`` conversion per column, and
 vectorized consumers (the predictors' chunk fast path) get contiguous
-numpy views.  The bus records per-consumer observability counters —
-events, chunks, seconds, events/sec — surfaced by the engine's schema-v3
-JSON envelope.
+numpy views.  Chunks also carry dense static ids
+(:meth:`EventChunk.static`).  A replayed trace is decoded once and its
+chunks share one static table, so a predictor bank evaluates each index
+function once per distinct PC per trace rather than once per chunk.  The
+bus records per-consumer observability counters — events, chunks,
+seconds, events/sec — surfaced by the engine's schema-v3 JSON envelope.
 """
 
 from __future__ import annotations
@@ -36,7 +39,7 @@ from typing import Dict, List, Optional, Protocol, Sequence, Tuple
 
 import numpy as np
 
-from ..trace.events import BranchTrace
+from ..trace.events import BranchTrace, decode_static
 
 #: Default events per chunk.  Large enough that per-chunk numpy/list
 #: conversion overhead amortises to noise, small enough that four staged
@@ -77,19 +80,23 @@ class EventChunk:
     ``np.asarray`` per column.
     """
 
-    __slots__ = ("_n", "_arrays", "_lists")
+    __slots__ = ("_n", "_arrays", "_lists", "_static", "_source")
 
     def __init__(
         self,
         n: int,
         arrays: Optional[Tuple[np.ndarray, ...]] = None,
         lists: Optional[Tuple[list, ...]] = None,
+        source: Optional[Tuple[BranchTrace, int]] = None,
     ) -> None:
         if arrays is None and lists is None:
             raise ValueError("chunk needs arrays or lists")
         self._n = n
         self._arrays = arrays
         self._lists = lists
+        self._static: Optional[Tuple[np.ndarray, np.ndarray]] = None
+        #: (trace, first event) when the chunk is a slice of a trace
+        self._source = source
 
     @classmethod
     def from_lists(
@@ -104,8 +111,11 @@ class EventChunk:
         targets: np.ndarray,
         taken: np.ndarray,
         timestamps: np.ndarray,
+        source: Optional[Tuple[BranchTrace, int]] = None,
     ) -> "EventChunk":
-        return cls(len(pcs), arrays=(pcs, targets, taken, timestamps))
+        return cls(
+            len(pcs), arrays=(pcs, targets, taken, timestamps), source=source
+        )
 
     def __len__(self) -> int:
         return self._n
@@ -129,6 +139,22 @@ class EventChunk:
         if self._lists is None:
             self._lists = tuple(col.tolist() for col in self._arrays)
         return self._lists
+
+    def static(self) -> Tuple[np.ndarray, np.ndarray]:
+        """``(static_pcs, ids)``: ``static_pcs[ids]`` equals :attr:`pcs`.
+
+        Replayed chunks share their trace's static table (the same
+        ``static_pcs`` object), so consumers can key per-trace caches on
+        it; live chunks decode their own on first use.
+        """
+        if self._static is None:
+            if self._source is not None:
+                trace, start = self._source
+                static_pcs, ids = trace.static_ids()
+                self._static = (static_pcs, ids[start:start + self._n])
+            else:
+                self._static = decode_static(self.pcs)
+        return self._static
 
     @property
     def pcs(self) -> np.ndarray:
@@ -383,6 +409,7 @@ class BranchEventBus:
                     trace.targets[start:stop],
                     trace.taken[start:stop],
                     trace.timestamps[start:stop],
+                    source=(trace, start),
                 )
             )
 

@@ -101,8 +101,11 @@ class PredictorConsumer:
 
     def on_chunk(self, chunk: EventChunk) -> None:
         pcs, targets, taken, _ = chunk.arrays()
+        static_pcs, ids = static = chunk.static()
         n = len(chunk)
-        predictions = self.predictor.access_chunk(pcs, taken, targets)
+        predictions = self.predictor.access_chunk(
+            pcs, taken, targets, static=static
+        )
         offset = self._offset
         self._offset = offset + n
         skip = self._warmup - offset  # events of this chunk still warming
@@ -110,21 +113,21 @@ class PredictorConsumer:
             return
         wrong = predictions != taken
         if skip > 0:
-            pcs = pcs[skip:]
+            ids = ids[skip:]
             wrong = wrong[skip:]
             n -= skip
         self._stats.branches += n
         self._stats.mispredictions += int(np.count_nonzero(wrong))
         if not self._track:
             return
-        uniq, inverse = np.unique(pcs, return_inverse=True)
-        executions = np.bincount(inverse, minlength=len(uniq))
-        misses = np.bincount(
-            inverse[wrong], minlength=len(uniq)
-        )
+        executions = np.bincount(ids, minlength=len(static_pcs))
+        misses = np.bincount(ids[wrong], minlength=len(static_pcs))
+        seen = np.flatnonzero(executions)
         per_branch = self._stats.per_branch
         for pc, ex, mi in zip(
-            uniq.tolist(), executions.tolist(), misses.tolist()
+            static_pcs[seen].tolist(),
+            executions[seen].tolist(),
+            misses[seen].tolist(),
         ):
             entry = per_branch.get(pc)
             if entry is None:

@@ -10,11 +10,15 @@ program order, mirroring sim-bpred.
 from __future__ import annotations
 
 import abc
-from typing import Optional, Sequence, Union
+from typing import Optional, Sequence, Tuple, Union
 
 import numpy as np
 
 Column = Union[Sequence, np.ndarray]
+
+#: A batch's dense static ids, ``(static_pcs, ids)`` with
+#: ``static_pcs[ids] == pcs`` (see :func:`repro.trace.events.decode_static`).
+StaticIds = Tuple[np.ndarray, np.ndarray]
 
 
 class BranchPredictor(abc.ABC):
@@ -44,6 +48,7 @@ class BranchPredictor(abc.ABC):
         pcs: Column,
         taken: Column,
         targets: Optional[Column] = None,
+        static: Optional[StaticIds] = None,
     ) -> np.ndarray:
         """Predict+update over a columnar batch; returns the predictions.
 

@@ -9,18 +9,22 @@ configuration of §5.3.
 
 from __future__ import annotations
 
-from typing import Dict, List
+from typing import Dict, List, Optional
 
 import numpy as np
 
-from .chunked import grouped_history_patterns
+from ..trace.events import decode_static
+from .base import StaticIds
+from .chunked import EventGroups, grouped_history_patterns
 from .indexing import IndexFunction
 
 
 class BranchHistoryTable:
     """Finite table of k-bit local history registers."""
 
-    __slots__ = ("history_bits", "_mask", "index_fn", "table")
+    __slots__ = (
+        "history_bits", "_mask", "index_fn", "table", "_static_pcs", "_entries"
+    )
 
     def __init__(self, index_fn: IndexFunction, history_bits: int) -> None:
         """
@@ -38,6 +42,9 @@ class BranchHistoryTable:
         self._mask = (1 << history_bits) - 1
         self.index_fn = index_fn
         self.table: List[int] = [0] * index_fn.size
+        # entry per static id, for the static table it was computed from
+        self._static_pcs: Optional[np.ndarray] = None
+        self._entries: Optional[np.ndarray] = None
 
     @property
     def size(self) -> int:
@@ -60,26 +67,34 @@ class BranchHistoryTable:
         return pattern
 
     def read_and_update_chunk(
-        self, pcs: np.ndarray, taken: np.ndarray
+        self,
+        pcs: np.ndarray,
+        taken: np.ndarray,
+        static: Optional[StaticIds] = None,
     ) -> np.ndarray:
         """Vectorized :meth:`read_and_update` over an event batch.
 
         Returns the per-event patterns (register value *before* each
         event) and advances the table, bit-identical to the scalar path —
         including aliasing, since events are grouped by table entry, not
-        by PC.
+        by PC.  *static* is the batch's ``(static_pcs, ids)``; the index
+        function runs once per distinct PC of a static table, and chunks
+        of one replayed trace share theirs.
         """
-        entry_ids = self.index_fn.index_array(pcs)
-        unique_entries, group_ids = np.unique(entry_ids, return_inverse=True)
-        entries = unique_entries.tolist()
+        static_pcs, ids = static if static is not None else decode_static(pcs)
+        if self._static_pcs is not static_pcs:
+            self._entries = self.index_fn.index_array(static_pcs)
+            self._static_pcs = static_pcs
+        groups = EventGroups(self._entries[ids], self.size)
         table = self.table
+        entries = groups.keys.tolist()
         carry_in = np.fromiter(
             (table[entry] for entry in entries),
             dtype=np.int64,
             count=len(entries),
         )
         patterns, carry_out = grouped_history_patterns(
-            group_ids, taken, self.history_bits, carry_in
+            groups, taken, self.history_bits, carry_in
         )
         for entry, register in zip(entries, carry_out.tolist()):
             table[entry] = register
@@ -119,17 +134,21 @@ class InfiniteBHT:
         return pattern
 
     def read_and_update_chunk(
-        self, pcs: np.ndarray, taken: np.ndarray
+        self,
+        pcs: np.ndarray,
+        taken: np.ndarray,
+        static: Optional[StaticIds] = None,
     ) -> np.ndarray:
-        """Vectorized :meth:`read_and_update`; groups are exact PCs."""
-        unique_pcs, group_ids = np.unique(pcs, return_inverse=True)
-        keys = unique_pcs.tolist()
+        """Vectorized :meth:`read_and_update`; groups are static ids."""
+        static_pcs, ids = static if static is not None else decode_static(pcs)
+        groups = EventGroups(ids, len(static_pcs))
+        keys = static_pcs[groups.keys].tolist()
         get = self.table.get
         carry_in = np.fromiter(
             (get(pc, 0) for pc in keys), dtype=np.int64, count=len(keys)
         )
         patterns, carry_out = grouped_history_patterns(
-            group_ids, taken, self.history_bits, carry_in
+            groups, taken, self.history_bits, carry_in
         )
         self.table.update(zip(keys, carry_out.tolist()))
         return patterns

@@ -6,7 +6,7 @@ from typing import Optional
 
 import numpy as np
 
-from .base import BranchPredictor, Column
+from .base import BranchPredictor, Column, StaticIds
 from .counters import CounterTable
 from .twolevel import _global_history_patterns
 
@@ -44,6 +44,7 @@ class GSharePredictor(BranchPredictor):
         pcs: Column,
         taken: Column,
         targets: Optional[Column] = None,
+        static: Optional[StaticIds] = None,
     ) -> np.ndarray:
         pcs = np.asarray(pcs).astype(np.int64)
         taken = np.asarray(taken, dtype=bool)

@@ -30,21 +30,19 @@ class IndexFunction(abc.ABC):
         """Table index for the branch at *pc* (in ``range(size)``)."""
 
     def index_array(self, pcs: np.ndarray) -> np.ndarray:
-        """Vectorized :meth:`index` over an event column.
+        """:meth:`index` of each PC in *pcs*, as an ``int64`` array.
 
-        The mapping depends only on the PC, so it is evaluated once per
-        *distinct* PC and broadcast back — exact for every subclass
-        (including :class:`StaticIndexMap`'s dictionary lookups) without
-        per-event Python calls.
+        Callers pass distinct PCs — a trace's static table — and
+        broadcast the result to events through static ids, so the
+        mapping runs once per static branch, exact for every subclass
+        (including :class:`StaticIndexMap`'s dictionary lookups).
         """
-        unique_pcs, inverse = np.unique(pcs, return_inverse=True)
         index = self.index
-        mapped = np.fromiter(
-            (index(pc) for pc in unique_pcs.tolist()),
+        return np.fromiter(
+            (index(pc) for pc in np.asarray(pcs).tolist()),
             dtype=np.int64,
-            count=len(unique_pcs),
+            count=len(pcs),
         )
-        return mapped[inverse]
 
     def __call__(self, pc: int) -> int:
         return self.index(pc)

@@ -16,7 +16,7 @@ from typing import Dict, Optional
 import numpy as np
 
 from ..profiling.profile import InterleaveProfile
-from .base import BranchPredictor, Column
+from .base import BranchPredictor, Column, StaticIds
 
 
 class AlwaysTakenPredictor(BranchPredictor):
@@ -110,6 +110,7 @@ class StaticHeuristicPredictor(BranchPredictor):
         pcs: Column,
         taken: Column,
         targets: Optional[Column] = None,
+        static: Optional[StaticIds] = None,
     ) -> np.ndarray:
         """Vectorized lookup: stateless, so the whole chunk is one
         searchsorted against the sorted direction table."""

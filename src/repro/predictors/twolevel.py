@@ -22,8 +22,8 @@ from typing import Dict, Optional, Union
 
 import numpy as np
 
-from .base import BranchPredictor, Column
-from .chunked import grouped_history_patterns
+from .base import BranchPredictor, Column, StaticIds
+from .chunked import EventGroups, grouped_history_patterns
 from .bht import BranchHistoryTable, InfiniteBHT
 from .counters import CounterTable
 from .indexing import IndexFunction, PCModuloIndex
@@ -79,11 +79,12 @@ class PAgPredictor(BranchPredictor):
         pcs: Column,
         taken: Column,
         targets: Optional[Column] = None,
+        static: Optional[StaticIds] = None,
     ) -> np.ndarray:
         """Vectorized chunk replay: both levels in columnar batches."""
         pcs = np.asarray(pcs)
         taken = np.asarray(taken, dtype=bool)
-        patterns = self.bht.read_and_update_chunk(pcs, taken)
+        patterns = self.bht.read_and_update_chunk(pcs, taken, static)
         return self.pht.access_chunk(patterns, taken)
 
     def reset(self) -> None:
@@ -134,6 +135,7 @@ class GAgPredictor(BranchPredictor):
         pcs: Column,
         taken: Column,
         targets: Optional[Column] = None,
+        static: Optional[StaticIds] = None,
     ) -> np.ndarray:
         taken = np.asarray(taken, dtype=bool)
         patterns, self.history = _global_history_patterns(
@@ -155,7 +157,7 @@ def _global_history_patterns(
     — the whole batch shares the one global register.
     """
     patterns, carry = grouped_history_patterns(
-        np.zeros(len(taken), dtype=np.int64),
+        EventGroups(np.zeros(len(taken), dtype=np.int64), 1),
         taken,
         history_bits,
         np.array([history], dtype=np.int64),
@@ -249,6 +251,7 @@ class GAsPredictor(BranchPredictor):
         pcs: Column,
         taken: Column,
         targets: Optional[Column] = None,
+        static: Optional[StaticIds] = None,
     ) -> np.ndarray:
         pcs = np.asarray(pcs).astype(np.int64)
         taken = np.asarray(taken, dtype=bool)

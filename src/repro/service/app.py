@@ -38,6 +38,7 @@ import os
 import signal
 import time
 import uuid
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Any, Dict, List, Optional, Set, Tuple
@@ -160,6 +161,11 @@ class AnalysisService:
         self.draining = False
         self._drain_started: Optional[float] = None
         self._tasks: Set["asyncio.Task[Any]"] = set()
+        #: predictor replays run one at a time, on this one thread (see
+        #: :meth:`_run_predictors`)
+        self._replayer = ThreadPoolExecutor(
+            max_workers=1, thread_name_prefix="repro-replay"
+        )
 
     # -- submission ---------------------------------------------------------
 
@@ -402,7 +408,7 @@ class AnalysisService:
         loop = asyncio.get_running_loop()
         try:
             predictions = await loop.run_in_executor(
-                None, self._run_predictors, job
+                self._replayer, self._run_predictors, job
             )
         except Exception as exc:
             error = exc if isinstance(exc, ReproError) else ReproError(
@@ -414,6 +420,14 @@ class AnalysisService:
         self._complete(job, result, predictions, self.clock())
 
     def _run_predictors(self, job: ServiceJob) -> Dict[str, Any]:
+        """Load the job's trace and replay its predictor bank.
+
+        Runs on the one replay thread, so one replay runs at a time.
+        Each holds a whole loaded trace (about 65 MB for a full-scale
+        analog), and replays are CPU-bound under the interpreter lock, so
+        overlapping them would raise the daemon's peak memory without
+        raising its throughput.
+        """
         artifacts = self.store.load(job.spec, job.digest)
         if artifacts is None:
             raise ReproError(
@@ -746,6 +760,7 @@ class AnalysisService:
                 socket_path.unlink()
             except OSError:
                 pass
+            self._replayer.shutdown(wait=False)
             for signum in handled_signals:
                 loop.remove_signal_handler(signum)
             if previous_pdeathsig is None:

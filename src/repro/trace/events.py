@@ -13,9 +13,50 @@ predictor simulators can iterate them cheaply.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Iterator, List, Sequence, Tuple
+from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
+
+#: Widest PC range (bytes) decoded through a dense lookup table; wider
+#: ranges fall back to a sort.
+_LOOKUP_SPAN = 1 << 21
+
+#: Events decoded per block, bounding the decode's temporaries.
+_DECODE_BLOCK = 1 << 16
+
+
+def decode_static(pcs: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+    """Dense static ids for a PC column: ``(static_pcs, ids)``.
+
+    ``static_pcs`` holds the distinct PCs ascending and
+    ``static_pcs[ids]`` equals *pcs*.  Ids are ``uint16`` when at most
+    65,536 statics occur, else ``uint32``.  PCs within a compact range
+    (every program text segment) go through a lookup table in blocks,
+    in linear time; others through ``np.unique``.
+    """
+    pcs = np.asarray(pcs, dtype=np.uint64)
+    if len(pcs) == 0:
+        return np.zeros(0, dtype=np.uint64), np.zeros(0, dtype=np.uint16)
+    low = int(pcs.min())
+    span = int(pcs.max()) - low + 1
+    blocks = range(0, len(pcs), _DECODE_BLOCK)
+    if span <= _LOOKUP_SPAN:
+        base = np.uint64(low)
+        present = np.zeros(span, dtype=bool)
+        for start in blocks:
+            present[pcs[start:start + _DECODE_BLOCK] - base] = True
+        offsets = np.flatnonzero(present)
+        dtype = np.uint16 if len(offsets) <= 1 << 16 else np.uint32
+        lookup = np.zeros(span, dtype=dtype)
+        lookup[offsets] = np.arange(len(offsets), dtype=dtype)
+        ids = np.empty(len(pcs), dtype=dtype)
+        for start in blocks:
+            stop = start + _DECODE_BLOCK
+            ids[start:stop] = lookup[pcs[start:stop] - base]
+        return offsets.astype(np.uint64) + base, ids
+    static_pcs, inverse = np.unique(pcs, return_inverse=True)
+    dtype = np.uint16 if len(static_pcs) <= 1 << 16 else np.uint32
+    return static_pcs, inverse.astype(dtype)
 
 
 @dataclass(frozen=True)
@@ -40,7 +81,7 @@ class BranchTrace:
         name: provenance label (benchmark + input set).
     """
 
-    __slots__ = ("pcs", "targets", "taken", "timestamps", "name")
+    __slots__ = ("pcs", "targets", "taken", "timestamps", "name", "_static")
 
     def __init__(
         self,
@@ -58,6 +99,7 @@ class BranchTrace:
         self.taken = np.ascontiguousarray(taken, dtype=bool)
         self.timestamps = np.ascontiguousarray(timestamps, dtype=np.uint64)
         self.name = name
+        self._static: Optional[Tuple[np.ndarray, np.ndarray]] = None
 
     def __len__(self) -> int:
         return len(self.pcs)
@@ -80,6 +122,12 @@ class BranchTrace:
         )
 
     # -- derived views ------------------------------------------------------
+
+    def static_ids(self) -> Tuple[np.ndarray, np.ndarray]:
+        """``(static_pcs, ids)`` of :func:`decode_static`, decoded once."""
+        if self._static is None:
+            self._static = decode_static(self.pcs)
+        return self._static
 
     def static_branches(self) -> List[int]:
         """Distinct static branch PCs, ascending."""

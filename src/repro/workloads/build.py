@@ -175,23 +175,17 @@ def _suffix(kernel: str, instance: int) -> str:
     return "" if instance == 0 else f"_{instance}"
 
 
-def build_workload(
+def workload_source(
     spec: WorkloadSpec,
     explicit_pads: Optional[Dict[Tuple[str, int], int]] = None,
-) -> BuiltWorkload:
-    """Assemble the driver + kernel instances for *spec*.
+) -> Tuple[str, Dict[Tuple[str, int], int]]:
+    """Generate the assembly text for *spec*: driver + kernel instances.
 
-    Args:
-        spec: the workload description.
-        explicit_pads: optional filler words preceding each kernel instance
-            (key -> words), overriding the spec's pseudo-random text
-            scatter.  The branch-alignment transform uses this to realise
-            a computed placement; instances absent from the map get no
-            pad.
+    Returns ``(source, scratch_map)``.  The text alone determines the
+    assembled program, so it is what artifact digests hash; generating
+    it costs a fraction of a millisecond, assembling it far more.
 
-    Raises:
-        KeyError: if a call names an unknown kernel.
-        ValueError: on malformed specs (propagated from the dataclasses).
+    Args and raises as for :func:`build_workload`.
     """
     # collect the distinct kernel instances used
     instances: List[Tuple[str, int]] = []
@@ -228,13 +222,37 @@ def build_workload(
         if pad:
             bodies.append(f".skip {pad}")
         bodies.append(get_kernel(kernel).emit(_suffix(kernel, instance)))
-    source = "\n".join([driver] + bodies)
-    program = assemble(source, name=spec.name)
-    input_data = make_input(spec.input.kind, spec.input.size, spec.input.seed)
+    return "\n".join([driver] + bodies), scratch_map
+
+
+def workload_input(spec: WorkloadSpec) -> bytes:
+    """The input bytes the simulated program reads for *spec*."""
+    return make_input(spec.input.kind, spec.input.size, spec.input.seed)
+
+
+def build_workload(
+    spec: WorkloadSpec,
+    explicit_pads: Optional[Dict[Tuple[str, int], int]] = None,
+) -> BuiltWorkload:
+    """Assemble the driver + kernel instances for *spec*.
+
+    Args:
+        spec: the workload description.
+        explicit_pads: optional filler words preceding each kernel instance
+            (key -> words), overriding the spec's pseudo-random text
+            scatter.  The branch-alignment transform uses this to realise
+            a computed placement; instances absent from the map get no
+            pad.
+
+    Raises:
+        KeyError: if a call names an unknown kernel.
+        ValueError: on malformed specs (propagated from the dataclasses).
+    """
+    source, scratch_map = workload_source(spec, explicit_pads)
     return BuiltWorkload(
         spec=spec,
-        program=program,
-        input_data=input_data,
+        program=assemble(source, name=spec.name),
+        input_data=workload_input(spec),
         scratch_map=scratch_map,
     )
 

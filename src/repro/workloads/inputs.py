@@ -8,7 +8,11 @@ data.  Every generator is a pure function of (size, seed).
 
 from __future__ import annotations
 
-import numpy as np
+import functools
+
+# numpy loads its random module lazily; importing it here keeps that
+# one-time cost out of the digest of every forked engine worker
+from numpy.random import default_rng
 
 _WORDS = (
     "the of and to in is that it was for on are as with his they at be "
@@ -35,7 +39,7 @@ def text_input(size: int, seed: int = 0) -> bytes:
     """English-like token stream: words, digits, punctuation, newlines."""
     if size < 0:
         raise ValueError("size must be non-negative")
-    rng = np.random.default_rng(seed)
+    rng = default_rng(seed)
     parts = []
     length = 0
     column = 0
@@ -62,7 +66,7 @@ def binary_runs(size: int, seed: int = 0, mean_run: int = 6) -> bytes:
         raise ValueError("size must be non-negative")
     if mean_run < 1:
         raise ValueError("mean_run must be >= 1")
-    rng = np.random.default_rng(seed)
+    rng = default_rng(seed)
     out = bytearray()
     while len(out) < size:
         byte = int(rng.integers(0, 64))  # small alphabet -> long runs
@@ -75,7 +79,7 @@ def mixed_input(size: int, seed: int = 0) -> bytes:
     """Alternating text and binary sections (document-with-images shape)."""
     if size < 0:
         raise ValueError("size must be non-negative")
-    rng = np.random.default_rng(seed)
+    rng = default_rng(seed)
     out = bytearray()
     section = 0
     while len(out) < size:
@@ -95,8 +99,12 @@ INPUT_KINDS = {
 }
 
 
+@functools.lru_cache(maxsize=64)
 def make_input(kind: str, size: int, seed: int = 0) -> bytes:
     """Dispatch on input *kind* (``text``/``binary``/``mixed``).
+
+    Generators are pure and return immutable bytes, so results are
+    memoised: artifact digests hash the input on every store lookup.
 
     Raises:
         KeyError: on an unknown kind.

@@ -509,6 +509,22 @@ def test_journal_resume_skips_completed_benchmarks(tmp_path):
 
 
 @pytest.mark.faults
+def test_sequential_resume_reads_the_runs_own_backend(tmp_path):
+    """A ``--jobs 1 --backend superblock --resume`` rerun must look up the
+    journal records of its own backend: each benchmark is absorbed from
+    the journal and none is simulated again."""
+    first = make_engine(tmp_path, backend="superblock")
+    for name in ("plot", "pgp"):
+        first.artifacts(name)
+    second = make_engine(tmp_path, backend="superblock", resume=True)
+    for name in ("plot", "pgp"):
+        second.artifacts(name)  # the in-process path, not prefetch
+    assert second.stats.job_source == {"plot": "journal", "pgp": "journal"}
+    assert second.stats.journal_skips == 2
+    assert second.stats.simulated == 0
+
+
+@pytest.mark.faults
 def test_journal_resume_survives_missing_artifacts(tmp_path):
     first = make_engine(tmp_path)
     first.prefetch(["plot"])

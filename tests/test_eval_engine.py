@@ -1,22 +1,32 @@
 """ExecutionEngine tests: digests, the artifact store, and parallel runs."""
 
+import dataclasses
 import json
+import shutil
 
 import numpy as np
 import pytest
 
+import repro.eval.engine as engine_mod
 import repro.eval.experiments as experiments_mod
+import repro.workloads.build as build_mod
 from repro.eval.engine import (
     ArtifactStore,
     ExecutionEngine,
     JobSpec,
+    _execute_job,
+    artifact_digest,
     compute_job_digest,
     prefetch_artifacts,
+    toolchain_fingerprint,
 )
 from repro.eval.experiments import run_experiment
 from repro.eval.runner import BenchmarkRunner
 from repro.eval.tables import format_table2, run_table2
+from repro.isa.program import Program
 from repro.trace.io import read_trace_meta
+from repro.workloads.kernels import common as kernels_common
+from repro.workloads.suite import benchmark_names, get_benchmark
 
 #: Small enough to keep each simulation ~1s.
 SCALE = 0.05
@@ -45,6 +55,107 @@ def test_digest_tracks_content():
         compute_job_digest(JobSpec("plot", scale=SCALE, trace_limit=500))
         != base
     )
+
+
+def test_digest_tracks_one_kernels_emitted_text(monkeypatch):
+    """Editing one kernel's body changes the digest (no assembly runs)."""
+    base = compute_job_digest(JobSpec("plot", scale=SCALE))
+    kernel = get_benchmark("plot", SCALE).phases[0].calls[0].kernel
+    original = kernels_common.get_kernel(kernel)
+    edited = dataclasses.replace(
+        original, emit=lambda suffix: original.emit(suffix) + "\n    nop"
+    )
+    monkeypatch.setitem(kernels_common._REGISTRY, kernel, edited)
+    assert compute_job_digest(JobSpec("plot", scale=SCALE)) != base
+
+
+def test_digest_tracks_the_toolchain_fingerprint(monkeypatch):
+    base = compute_job_digest(JobSpec("plot", scale=SCALE))
+    monkeypatch.setattr(
+        engine_mod, "toolchain_fingerprint", lambda: "an edited assembler"
+    )
+    assert compute_job_digest(JobSpec("plot", scale=SCALE)) != base
+
+
+def test_toolchain_fingerprint_covers_assembler_and_encoder_sources(
+    tmp_path, monkeypatch
+):
+    """The fingerprint hashes the asm/isa sources: editing one byte of
+    either package changes it (so an assembler edit re-keys the store)."""
+    for package in ("asm", "isa"):
+        shutil.copytree(
+            engine_mod._SOURCE_ROOT / package,
+            tmp_path / package,
+            ignore=shutil.ignore_patterns("__pycache__"),
+        )
+    monkeypatch.setattr(engine_mod, "_SOURCE_ROOT", tmp_path)
+    toolchain_fingerprint.cache_clear()
+    try:
+        base = toolchain_fingerprint()
+        for source in ("asm/assembler.py", "isa/program.py"):
+            path = tmp_path / source
+            path.write_text(path.read_text() + "\n# edited\n")
+            toolchain_fingerprint.cache_clear()
+            edited = toolchain_fingerprint()
+            assert edited != base
+            base = edited
+    finally:
+        monkeypatch.undo()
+        toolchain_fingerprint.cache_clear()
+    assert len(toolchain_fingerprint()) == 64
+
+
+@pytest.mark.parametrize(
+    "change",
+    ["seed", "fuel", "limit", "backend"],
+)
+def test_digest_tracks_every_capture_parameter(change):
+    workload = get_benchmark("plot", SCALE)
+    base = artifact_digest(workload)
+    if change == "seed":
+        workload = dataclasses.replace(
+            workload, random_seed=workload.random_seed + 1
+        )
+    elif change == "fuel":
+        workload = dataclasses.replace(workload, fuel=workload.fuel + 1)
+    kwargs = {
+        "limit": {"trace_limit": 500},
+        "backend": {"backend": "superblock"},
+    }.get(change, {})
+    assert artifact_digest(workload, **kwargs) != base
+
+
+def test_every_analog_has_a_distinct_digest():
+    names = benchmark_names()
+    assert len(names) == 15
+    digests = {compute_job_digest(JobSpec(name, scale=1.0)) for name in names}
+    assert len(digests) == len(names)
+
+
+def test_warm_store_hit_neither_assembles_nor_encodes(tmp_path, monkeypatch):
+    spec = JobSpec("plot", scale=SCALE)
+    payload = (spec, str(tmp_path), False, None)
+    assert _execute_job(payload).source == "simulated"
+    calls = {"assemble": 0, "to_image": 0}
+
+    def counting(name, original):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return original(*args, **kwargs)
+        return wrapper
+
+    monkeypatch.setattr(
+        build_mod, "assemble", counting("assemble", build_mod.assemble)
+    )
+    monkeypatch.setattr(
+        Program, "to_image", counting("to_image", Program.to_image)
+    )
+    assert _execute_job(payload).source == "store"
+    assert calls == {"assemble": 0, "to_image": 0}
+    # the counters are live: a miss does assemble
+    shutil.rmtree(tmp_path)
+    assert _execute_job(payload).source == "simulated"
+    assert calls["assemble"] == 1
 
 
 def test_cache_paths_fold_digest(tmp_path):

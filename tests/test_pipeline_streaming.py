@@ -32,7 +32,12 @@ from repro.pipeline.consumers import (
 )
 from repro.predictors.gshare import GSharePredictor
 from repro.predictors.simulator import simulate_predictor
-from repro.predictors.twolevel import GAgPredictor, PAgPredictor
+from repro.predictors.twolevel import (
+    GAgPredictor,
+    GAsPredictor,
+    InterferenceFreePAg,
+    PAgPredictor,
+)
 from repro.profiling.interleave import InterleaveAnalyzer
 from repro.schema import SCHEMA_VERSION, envelope
 from repro.trace.capture import TraceCapture
@@ -118,11 +123,24 @@ def test_fused_profile_byte_identical_to_replay(runner):
     assert profiler.result.to_json() == artifacts.profile.to_json()
 
 
+def _kernel_bank():
+    """Every chunk kernel: per-address (finite and infinite BHT) and the
+    global-history predictors sharing the saturating-counter kernel."""
+    return [
+        PAgPredictor.conventional(256, 8),
+        InterferenceFreePAg(8),
+        GAgPredictor(8),
+        GAsPredictor(history_bits=6, set_bits=4),
+        GSharePredictor(history_bits=10),
+    ]
+
+
 def test_replay_bank_matches_scalar_loop_on_kernel_trace(runner):
     trace = runner.trace("compress")
-    bank = [PAgPredictor.conventional(256, 8), GAgPredictor(8)]
-    fused = replay_bank(trace, bank, warmup=1000, track_per_branch=True)
-    for predictor in [PAgPredictor.conventional(256, 8), GAgPredictor(8)]:
+    fused = replay_bank(
+        trace, _kernel_bank(), warmup=1000, track_per_branch=True
+    )
+    for predictor in _kernel_bank():
         ref = simulate_predictor(
             predictor, trace, warmup=1000, chunked=False
         )

@@ -591,6 +591,46 @@ def test_recover_skips_unknown_benchmarks(tmp_path):
     assert recovered.admission.depth() == 0
 
 
+def test_predictor_replays_run_one_at_a_time(tmp_path, monkeypatch):
+    """Each replay holds a whole loaded trace, so the daemon runs them on
+    its one replay thread, never two at once."""
+    service, _ = make_service(tmp_path)
+    active, peak, completed = [0], [0], []
+
+    def fake_replay(job):
+        active[0] += 1
+        peak[0] = max(peak[0], active[0])
+        time.sleep(0.02)
+        active[0] -= 1
+        return {}
+
+    monkeypatch.setattr(service, "_run_predictors", fake_replay)
+    monkeypatch.setattr(
+        service,
+        "_complete",
+        lambda job, result, predictions, now: completed.append(job.id),
+    )
+    jobs = [
+        ServiceJob(
+            id=f"j{i}", tenant="t", spec=JobSpec("plot", scale=SCALE),
+            digest="d", stem="s", predictors=("gshare:12",),
+        )
+        for i in range(4)
+    ]
+
+    async def replay_all():
+        await asyncio.gather(
+            *(service._predict_then_complete(job, None) for job in jobs)
+        )
+
+    try:
+        asyncio.run(replay_all())
+    finally:
+        service._replayer.shutdown(wait=True)
+    assert sorted(completed) == ["j0", "j1", "j2", "j3"]
+    assert peak[0] == 1
+
+
 def test_stats_frame_shape_and_cache_hit_ratio(tmp_path):
     service, _ = make_service(tmp_path)
     service.counters["simulated"] = 1
