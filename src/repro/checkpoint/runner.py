@@ -149,7 +149,8 @@ def run_simulation(
         max_instructions: fuel limit; 0 uses the spec's budget.
         fault_plan: optional fault-injection plan; its ``on_events``
             hook fires after every slice with the bus's live event
-            count (the ``worker_kill`` fault mode).
+            count (the ``worker_kill`` and ``worker_stall`` fault
+            modes).
         benchmark: benchmark tag passed to fault hooks.
         in_worker: whether this runs in a sacrificial worker process.
         backend: simulation backend name or instance; backends are

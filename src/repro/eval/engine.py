@@ -89,7 +89,9 @@ from .shards import ShardSpec, shard_names
 #: v2: the simulation backend became a digest component.
 #: v3: the generated assembly source plus a fingerprint of the assembler
 #: and encoder sources replace the assembled image.
-DIGEST_VERSION = 3
+#: v4: traces are stored in the static-id layout (trace format 2), so
+#: entries of the old layout are simply not found.
+DIGEST_VERSION = 4
 
 #: Packages whose sources turn assembly text into the simulated image,
 #: under the ``repro`` source root.
@@ -620,9 +622,9 @@ def _execute_job(
     content address guarantees both writers carry identical bytes.
 
     An installed :class:`~repro.eval.faults.FaultPlan` is honoured here:
-    crash/hang/flaky faults fire before the build, ``worker_kill`` fires
-    from the checkpointed runner's slice loop, corruption faults right
-    after the artifacts are stored.
+    crash/hang/flaky faults fire before the build, ``worker_kill`` and
+    ``worker_stall`` fire from the checkpointed runner's slice loop,
+    corruption faults right after the artifacts are stored.
     """
     spec, cache_root, in_worker, checkpoint_every = payload
     started = time.perf_counter()

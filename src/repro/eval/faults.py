@@ -21,6 +21,13 @@ faults the engine must survive:
   artifacts byte-identical to an uninterrupted run.  Fires once per
   benchmark (kill-once markers under ``state_dir``), so the resumed
   attempt is not killed again at the same threshold.
+* ``worker_stall`` — once the bus has seen a given number of branch
+  events, the job stops making progress: it sleeps in short steps until
+  a drain is requested (SIGTERM) or the process is killed, at most
+  ``hang_seconds``.  Holds a job in flight, checkpointed, for as long as
+  a kill or drain test needs, whatever the machine's speed.  Fires once
+  per benchmark (marker under ``state_dir``), so a resumed attempt runs
+  through.
 * ``shard_kill`` — a *supervised shard worker* (``repro supervise``)
   SIGKILLs itself once its current job's bus has seen a given number of
   branch events, exercising the supervisor's dead-shard detection,
@@ -70,6 +77,7 @@ from pathlib import Path
 from typing import Dict, Iterator, Optional, Tuple
 
 from ..errors import ReproError
+from . import interrupt
 
 #: Environment variable carrying the serialised plan to pool workers.
 ENV_VAR = "REPRO_FAULTS"
@@ -79,9 +87,13 @@ ENV_VAR = "REPRO_FAULTS"
 #: by the engine's timeout handling).
 DEFAULT_HANG_SECONDS = 60.0
 
-#: Branch-event threshold for ``worker_kill``/``shard_kill`` items in the
-#: compact env syntax when no explicit ``@EVENTS`` is given.
+#: Branch-event threshold for ``worker_kill``/``worker_stall``/
+#: ``shard_kill`` items in the compact env syntax when no explicit
+#: ``@EVENTS`` is given.
 DEFAULT_KILL_EVENTS = 10000
+
+#: Poll interval of a stalled job waiting for a drain (seconds).
+STALL_POLL_SECONDS = 0.02
 
 #: In-process fallback for shard_kill fire-once markers when the plan has
 #: no ``state_dir`` (the supervisor normally injects one so the marker
@@ -107,6 +119,8 @@ class FaultPlan:
         corrupt_meta: benchmarks whose meta sidecar is corrupted on put.
         worker_kill: benchmark -> branch-event count at which the worker
             SIGKILLs itself mid-simulation (once; needs ``state_dir``).
+        worker_stall: benchmark -> branch-event count at which the job
+            stalls until a drain or a kill (once; needs ``state_dir``).
         shard_kill: shard slot (1-based, as a string key — JSON objects
             key on strings) -> branch-event count at which a supervised
             shard worker SIGKILLs itself (once; the supervisor injects a
@@ -115,15 +129,16 @@ class FaultPlan:
             ``hang_seconds`` at entry without heartbeating.
         lease_stall: shard slots whose supervised worker skips every
             heartbeat lease write while otherwise running normally.
-        hang_seconds: sleep length for ``worker_hang``/``shard_hang``.
+        hang_seconds: sleep length for ``worker_hang``/``shard_hang``,
+            and the longest a ``worker_stall`` lasts.
         slow_client: every Nth loadgen request is a slow client
             (0 disables); the pause is ``slow_client_seconds``.
         slow_client_seconds: mid-frame pause for ``slow_client``.
         conn_drop: every Nth loadgen request drops its connection right
             after the ``accepted`` frame (0 disables).
         state_dir: directory for cross-process flaky attempt counters and
-            kill-once markers (required when ``flaky`` or ``worker_kill``
-            is non-empty).
+            fire-once markers (required when ``flaky``, ``worker_kill``
+            or ``worker_stall`` is non-empty).
     """
 
     worker_crash: Tuple[str, ...] = ()
@@ -132,6 +147,7 @@ class FaultPlan:
     corrupt_trace: Tuple[str, ...] = ()
     corrupt_meta: Tuple[str, ...] = ()
     worker_kill: Dict[str, int] = field(default_factory=dict)
+    worker_stall: Dict[str, int] = field(default_factory=dict)
     shard_kill: Dict[str, int] = field(default_factory=dict)
     shard_hang: Tuple[int, ...] = ()
     lease_stall: Tuple[int, ...] = ()
@@ -144,9 +160,10 @@ class FaultPlan:
     def __post_init__(self) -> None:
         if self.flaky and not self.state_dir:
             raise ValueError("flaky faults need state_dir for counters")
-        if self.worker_kill and not self.state_dir:
+        if (self.worker_kill or self.worker_stall) and not self.state_dir:
             raise ValueError(
-                "worker_kill faults need state_dir for kill-once markers"
+                "worker_kill/worker_stall faults need state_dir for "
+                "fire-once markers"
             )
 
     # -- serialisation ------------------------------------------------------
@@ -160,6 +177,7 @@ class FaultPlan:
                 "corrupt_trace": list(self.corrupt_trace),
                 "corrupt_meta": list(self.corrupt_meta),
                 "worker_kill": dict(self.worker_kill),
+                "worker_stall": dict(self.worker_stall),
                 "shard_kill": dict(self.shard_kill),
                 "shard_hang": list(self.shard_hang),
                 "lease_stall": list(self.lease_stall),
@@ -185,6 +203,10 @@ class FaultPlan:
             worker_kill={
                 str(k): int(v)
                 for k, v in payload.get("worker_kill", {}).items()
+            },
+            worker_stall={
+                str(k): int(v)
+                for k, v in payload.get("worker_stall", {}).items()
             },
             shard_kill={
                 str(k): int(v)
@@ -219,9 +241,9 @@ class FaultPlan:
 
         Modes: ``worker_crash:NAME``, ``worker_hang:NAME``,
         ``corrupt_trace:NAME``, ``corrupt_meta:NAME``, ``flaky:NAME@N``,
-        ``worker_kill:NAME@EVENTS``, ``shard_kill:K@EVENTS``,
-        ``shard_hang:K``, ``lease_stall:K``, ``hang_seconds:S``,
-        ``state_dir:PATH``.  Event thresholds default to
+        ``worker_kill:NAME@EVENTS``, ``worker_stall:NAME@EVENTS``,
+        ``shard_kill:K@EVENTS``, ``shard_hang:K``, ``lease_stall:K``,
+        ``hang_seconds:S``, ``state_dir:PATH``.  Event thresholds default to
         :data:`DEFAULT_KILL_EVENTS` when the ``@EVENTS`` part is omitted.
 
         Raises:
@@ -231,7 +253,8 @@ class FaultPlan:
         kwargs: Dict[str, object] = {
             "worker_crash": [], "worker_hang": [], "corrupt_trace": [],
             "corrupt_meta": [], "flaky": {}, "worker_kill": {},
-            "shard_kill": {}, "shard_hang": [], "lease_stall": [],
+            "worker_stall": {}, "shard_kill": {}, "shard_hang": [],
+            "lease_stall": [],
         }
         extras: Dict[str, object] = {}
         for item in text.split(","):
@@ -246,7 +269,7 @@ class FaultPlan:
             if mode in ("worker_crash", "worker_hang",
                         "corrupt_trace", "corrupt_meta"):
                 kwargs[mode].append(arg)
-            elif mode in ("flaky", "worker_kill"):
+            elif mode in ("flaky", "worker_kill", "worker_stall"):
                 name, _, count = arg.partition("@")
                 default = 1 if mode == "flaky" else DEFAULT_KILL_EVENTS
                 kwargs[mode][name] = int(count) if count else default
@@ -270,6 +293,7 @@ class FaultPlan:
             corrupt_trace=tuple(kwargs["corrupt_trace"]),
             corrupt_meta=tuple(kwargs["corrupt_meta"]),
             worker_kill=dict(kwargs["worker_kill"]),
+            worker_stall=dict(kwargs["worker_stall"]),
             shard_kill=dict(kwargs["shard_kill"]),
             shard_hang=tuple(kwargs["shard_hang"]),
             lease_stall=tuple(kwargs["lease_stall"]),
@@ -330,23 +354,38 @@ class FaultPlan:
     def on_events(
         self, benchmark: str, events: int, in_worker: bool
     ) -> None:
-        """Fire the ``worker_kill`` fault once *events* reach its threshold.
+        """Fire ``worker_stall``/``worker_kill`` once *events* reach their
+        thresholds.
 
         Called by the checkpointed simulation loop between executor
-        slices with the bus's live branch-event count.  The kill is
-        deterministic in event time (not wall-clock) and fires at most
+        slices with the bus's live branch-event count.  Both faults are
+        deterministic in event time (not wall-clock) and fire at most
         once per benchmark: a marker file under ``state_dir`` is claimed
-        atomically before dying, so the retried attempt — which resumes
-        past the threshold — is not killed again.
+        atomically first, so the retried or resumed attempt — which
+        continues past the threshold — does not fire again.  A stall
+        returns once a drain is requested; the caller's slice loop then
+        checkpoints and stops.
 
         Raises:
             InjectedFault: in-process runs, where SIGKILLing the current
                 process would take down the caller itself.
         """
+        stall_at = self.worker_stall.get(benchmark)
+        if (
+            stall_at is not None
+            and events >= stall_at
+            and self._claim_marker(f"stall-{benchmark}")
+        ):
+            deadline = time.monotonic() + self.hang_seconds
+            while (
+                not interrupt.drain_requested()
+                and time.monotonic() < deadline
+            ):
+                time.sleep(STALL_POLL_SECONDS)
         threshold = self.worker_kill.get(benchmark)
         if threshold is None or events < threshold:
             return
-        if not self._claim_kill(benchmark):
+        if not self._claim_marker(f"kill-{benchmark}"):
             return
         if in_worker:
             os.kill(os.getpid(), 9)  # SIGKILL: no cleanup, no atexit
@@ -355,11 +394,11 @@ class FaultPlan:
             benchmark=benchmark, fault="worker_kill", events=events,
         )
 
-    def _claim_kill(self, benchmark: str) -> bool:
-        """Atomically claim the one allowed kill for *benchmark*."""
+    def _claim_marker(self, name: str) -> bool:
+        """Atomically claim the one allowed firing recorded as *name*."""
         state = Path(self.state_dir)  # validated in __post_init__
         state.mkdir(parents=True, exist_ok=True)
-        marker = state / f"kill-{benchmark}"
+        marker = state / name
         try:
             marker.touch(exist_ok=False)
         except FileExistsError:

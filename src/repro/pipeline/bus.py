@@ -34,6 +34,7 @@ seconds, events/sec — surfaced by the engine's schema-v3 JSON envelope.
 from __future__ import annotations
 
 import time
+from array import array
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Protocol, Sequence, Tuple
 
@@ -45,6 +46,12 @@ from ..trace.events import BranchTrace, decode_static
 #: conversion overhead amortises to noise, small enough that four staged
 #: columns stay cache-friendly and partial chunks flush promptly.
 DEFAULT_CHUNK_EVENTS = 1 << 16
+
+
+def _u64_array(values: list) -> np.ndarray:
+    """A list of non-negative ints as ``uint64``; ``array.array`` packs
+    a list of ints about three times faster than ``np.array``."""
+    return np.frombuffer(array("Q", values), dtype=np.uint64)
 
 
 class EventConsumer(Protocol):
@@ -127,10 +134,10 @@ class EventChunk:
         if self._arrays is None:
             pcs, targets, taken, timestamps = self._lists
             self._arrays = (
-                np.array(pcs, dtype=np.uint64),
-                np.array(targets, dtype=np.uint64),
-                np.array(taken, dtype=bool),
-                np.array(timestamps, dtype=np.uint64),
+                _u64_array(pcs),
+                _u64_array(targets),
+                np.fromiter(taken, dtype=bool, count=len(taken)),
+                _u64_array(timestamps),
             )
         return self._arrays
 

@@ -39,7 +39,7 @@ _U64 = np.uint64
 
 
 class InterleaveConsumer:
-    """Streams events into a recency-stack :class:`InterleaveAnalyzer`.
+    """Streams events into an :class:`InterleaveAnalyzer`.
 
     ``result`` (after ``finish``) matches ``profile_trace`` over the same
     event stream exactly: same branch stats, same pair counts, and
@@ -54,7 +54,7 @@ class InterleaveConsumer:
 
     def on_chunk(self, chunk: EventChunk) -> None:
         pcs, _, taken, timestamps = chunk.arrays()
-        self._analyzer.observe_chunk(pcs, taken)
+        self._analyzer.observe_chunk(pcs, taken, static=chunk.static())
         self._analyzer._instructions = int(timestamps[-1])
 
     def finish(self) -> InterleaveProfile:

@@ -79,6 +79,9 @@ class BranchTrace:
         timestamps: retired-instruction counts before each instance
             (strictly increasing).
         name: provenance label (benchmark + input set).
+
+    ``static`` optionally supplies :meth:`static_ids` precomputed (a
+    reader that stores them); it must equal ``decode_static(pcs)``.
     """
 
     __slots__ = ("pcs", "targets", "taken", "timestamps", "name", "_static")
@@ -90,6 +93,7 @@ class BranchTrace:
         taken: np.ndarray,
         timestamps: np.ndarray,
         name: str = "<trace>",
+        static: Optional[Tuple[np.ndarray, np.ndarray]] = None,
     ) -> None:
         n = len(pcs)
         if not (len(targets) == len(taken) == len(timestamps) == n):
@@ -99,7 +103,7 @@ class BranchTrace:
         self.taken = np.ascontiguousarray(taken, dtype=bool)
         self.timestamps = np.ascontiguousarray(timestamps, dtype=np.uint64)
         self.name = name
-        self._static: Optional[Tuple[np.ndarray, np.ndarray]] = None
+        self._static = static
 
     def __len__(self) -> int:
         return len(self.pcs)

@@ -7,6 +7,7 @@ become typed per-benchmark failures, experiments run on the survivors.
 """
 
 import json
+import time
 
 import pytest
 
@@ -26,6 +27,7 @@ from repro.eval.experiments import (
     run_all_experiments,
     run_experiment,
 )
+from repro.eval import interrupt
 from repro.eval.faults import ENV_VAR, FaultPlan, InjectedFault, corrupt_file
 from repro.schema import SCHEMA_VERSION
 
@@ -304,6 +306,32 @@ def test_fault_plan_installed_restores_environment(monkeypatch):
     import os
 
     assert ENV_VAR not in os.environ
+
+
+def test_worker_stall_parses_and_fires_once_until_a_drain(tmp_path):
+    plan = FaultPlan.from_compact(
+        f"worker_stall:plot@4000,state_dir:{tmp_path}"
+    )
+    assert plan.worker_stall == {"plot": 4000}
+    assert FaultPlan.from_json(plan.to_json()) == plan
+    with pytest.raises(ValueError, match="state_dir"):
+        FaultPlan(worker_stall={"plot": 1})
+    plan.on_events("plot", 3999, in_worker=False)  # below: no stall
+    interrupt.request_drain()
+    try:
+        plan.on_events("plot", 4000, in_worker=False)  # returns on drain
+    finally:
+        interrupt.reset_drain()
+    assert (tmp_path / "stall-plot").exists()
+    started = time.monotonic()
+    plan.on_events("plot", 9000, in_worker=False)  # fired already
+    assert time.monotonic() - started < 1.0
+    # without a drain the stall lasts until killed, at most hang_seconds
+    bounded = FaultPlan(worker_stall={"li": 1}, hang_seconds=0.3,
+                        state_dir=str(tmp_path))
+    started = time.monotonic()
+    bounded.on_events("li", 1, in_worker=False)
+    assert time.monotonic() - started >= 0.3
 
 
 def test_flaky_plan_requires_state_dir():

@@ -37,6 +37,7 @@ from repro.checkpoint import (
 from repro.errors import SuiteInterrupted
 from repro.eval import interrupt
 from repro.eval.engine import ExecutionEngine
+from repro.eval.faults import FaultPlan
 from repro.pipeline.bus import BranchEventBus
 from repro.pipeline.consumers import TraceBuilder
 from repro.trace.io import save_trace
@@ -217,8 +218,14 @@ def test_cli_experiment_survives_sigterm_and_resumes(tmp_path):
         "--scale", str(SCALE), "--jobs", "2",
         "--cache", str(cache), "--checkpoint-every", "2000", "--json",
     ]
+    # compress stalls at 2,000 events, so the suite is still running
+    # when the drain arrives however fast the other benchmarks finish
+    stall = FaultPlan(
+        worker_stall={"compress": 2_000}, state_dir=str(tmp_path / "state")
+    )
     proc = subprocess.Popen(
-        args, env=env, stdout=subprocess.PIPE, stderr=subprocess.PIPE
+        args, env=dict(env, REPRO_FAULTS=stall.to_json()),
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE,
     )
     # wait until at least one benchmark has been journaled, then drain
     journal = cache / "journal.jsonl"
@@ -235,8 +242,6 @@ def test_cli_experiment_survives_sigterm_and_resumes(tmp_path):
         raise AssertionError("journal never appeared")
     proc.send_signal(signal.SIGTERM)
     stdout, stderr = proc.communicate(timeout=120)
-    if proc.returncode == 0:
-        pytest.skip("suite finished before the drain window")
     assert proc.returncode == 1
     text = stderr.decode()
     assert "suite_interrupted" in text

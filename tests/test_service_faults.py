@@ -194,12 +194,18 @@ def test_daemon_sigkill_midflight_then_restart_is_byte_identical():
         name: artifact_bytes(clean_cache, name) for name, _ in jobs
     }
 
-    # crash run: SIGKILL once both jobs are running and checkpointed
+    # crash run: SIGKILL once both jobs are running and checkpointed;
+    # each job stalls at 2,000 events, so both are still in flight
+    stall = FaultPlan(
+        worker_stall={name: 2_000 for name, _ in jobs},
+        state_dir=str(root / "state"),
+    )
     crash_sock = root / "crash.sock"
     crash_cache = root / "crash-cache"
     proc = start_daemon(
         crash_sock, crash_cache, "--workers", "2",
         "--checkpoint-every", "500",
+        env=daemon_env({"REPRO_FAULTS": stall.to_json()}),
     )
     talk(
         crash_sock,
@@ -213,8 +219,7 @@ def test_daemon_sigkill_midflight_then_restart_is_byte_identical():
         checkpoints = list(ckpt_dir.glob("*.ckpt"))
         if frame["running"] == 2 and len(checkpoints) >= 2:
             break
-        if frame["jobs"]["completed"] == 2:
-            pytest.skip("jobs finished before the kill window")
+        assert frame["jobs"]["completed"] == 0, "a stalled job completed"
         time.sleep(0.05)
     else:
         raise AssertionError("both jobs never got in flight together")
@@ -222,7 +227,8 @@ def test_daemon_sigkill_midflight_then_restart_is_byte_identical():
     proc.wait(timeout=30)
     assert journal_statuses(crash_cache) == {}  # nothing terminal
 
-    # restart on the same cache: recovery must finish both jobs
+    # restart on the same cache, without faults: recovery must finish
+    # both jobs
     proc = start_daemon(
         crash_sock, crash_cache, "--workers", "2",
         "--checkpoint-every", "500",
@@ -276,8 +282,13 @@ def test_daemon_sigterm_drains_interrupts_and_resumes_on_restart():
     root = short_socket_dir()
     sock = root / "svc.sock"
     cache = root / "cache"
+    # the job stalls at 2,000 events until the drain reaches it
+    stall = FaultPlan(
+        worker_stall={"plot": 2_000}, state_dir=str(root / "state"),
+    )
     proc = start_daemon(
         sock, cache, "--workers", "1", "--checkpoint-every", "500",
+        env=daemon_env({"REPRO_FAULTS": stall.to_json()}),
     )
     frames = []
     client = threading.Thread(
@@ -305,8 +316,6 @@ def test_daemon_sigterm_drains_interrupts_and_resumes_on_restart():
     assert not client.is_alive()
     terminal = [f for f in frames if f.get("type") in TERMINAL]
     assert len(terminal) == 1
-    if terminal[0]["type"] == "completed":
-        pytest.skip("job finished before the drain window")
     assert terminal[0]["type"] == "interrupted"
     assert terminal[0]["resumable"] is True
     assert terminal[0]["error"]["code"] == "job_interrupted"
