@@ -1116,7 +1116,8 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--backend", choices=backend_names(),
                        default=DEFAULT_BACKEND,
                        help="simulation backend (superblock = compiled "
-                       "traces, byte-identical artifacts)")
+                       "traces, the default; interp = the reference "
+                       "interpreter; artifacts are byte-identical)")
 
     def add_common(p: argparse.ArgumentParser, with_threshold=True) -> None:
         p.add_argument("benchmark", help="benchmark analog name")

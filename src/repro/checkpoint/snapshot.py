@@ -61,10 +61,7 @@ def snapshot_simulator(sim: Simulator) -> Dict[str, Any]:
         "pc": state.pc,
         "halted": state.halted,
         "exit_code": state.exit_code,
-        "pages": {
-            number: bytes(page)
-            for number, page in state.memory._pages.items()
-        },
+        "pages": state.memory.export_pages(),
         "env": {
             "cursor": env.cursor,
             "output": bytes(env.output),
@@ -85,9 +82,7 @@ def restore_simulator(sim: Simulator, snap: Dict[str, Any]) -> None:
     state.pc = snap["pc"]
     state.halted = snap["halted"]
     state.exit_code = snap["exit_code"]
-    state.memory._pages = {
-        number: bytearray(page) for number, page in snap["pages"].items()
-    }
+    state.memory.restore_pages(snap["pages"])
     env = sim.environment
     env.cursor = snap["env"]["cursor"]
     env.output = bytearray(snap["env"]["output"])

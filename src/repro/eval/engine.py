@@ -71,7 +71,7 @@ from ..pipeline.consumers import (
 from ..predictors.base import BranchPredictor
 from ..predictors.simulator import PredictionStats
 from ..profiling.profile import InterleaveProfile
-from ..sim.api import get_backend
+from ..sim.api import DEFAULT_BACKEND, get_backend
 from ..trace.events import BranchTrace
 from ..trace.io import load_trace, read_trace_meta, save_trace
 from ..workloads.build import (
@@ -140,7 +140,7 @@ class JobSpec:
     name: str
     scale: float = 1.0
     trace_limit: Optional[int] = None
-    backend: str = "interp"
+    backend: str = DEFAULT_BACKEND
 
     def tag(self) -> str:
         """Human-readable artifact prefix (the legacy cache tag)."""
@@ -175,7 +175,7 @@ def toolchain_fingerprint() -> str:
 def artifact_digest(
     workload: WorkloadSpec,
     trace_limit: Optional[int] = None,
-    backend: str = "interp",
+    backend: str = DEFAULT_BACKEND,
 ) -> str:
     """Content digest for one job's artifacts (no assembly).
 

@@ -57,6 +57,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 from ..checkpoint import RunJournal
 from ..errors import ShardLost, SuiteInterrupted, error_to_dict
+from ..sim.api import DEFAULT_BACKEND
 from . import faults, interrupt
 from .engine import DRAIN_KILL_GRACE, ExecutionEngine
 from .shards import (
@@ -514,7 +515,7 @@ class ShardSupervisor:
         store_root: Path,
         scale: float = 1.0,
         trace_limit: Optional[int] = None,
-        backend: str = "interp",
+        backend: str = DEFAULT_BACKEND,
         checkpoint_every_events: int = 2000,
         retries: int = 1,
         max_restarts: int = DEFAULT_MAX_RESTARTS,

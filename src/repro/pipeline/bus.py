@@ -357,6 +357,29 @@ class BranchEventBus:
         self._timestamps = []
         self._dispatch(chunk)
 
+    def drain(self) -> None:
+        """Dispatch every full chunk of the staged events.
+
+        The compiled simulation core appends to the staged lists without
+        checking the chunk size per event and calls this at region
+        boundaries instead.  The staged events are cut into exactly the
+        ``chunk_events`` slices :meth:`on_branch` would have flushed one
+        by one, and the remainder (fewer than ``chunk_events``) stays
+        staged in the same list objects, which compiled code holds on to.
+        """
+        step = self.chunk_events
+        columns = (self._pcs, self._targets, self._taken, self._timestamps)
+        full = len(self._pcs) - len(self._pcs) % step
+        for start in range(0, full, step):
+            stop = start + step
+            self._dispatch(
+                EventChunk.from_lists(
+                    *(column[start:stop] for column in columns)
+                )
+            )
+        for column in columns:
+            del column[:full]
+
     def _dispatch(self, chunk: EventChunk) -> None:
         n = len(chunk)
         if n == 0:

@@ -62,6 +62,7 @@ from ..eval.engine import (
 )
 from ..pipeline.bus import BranchEventBus
 from ..pipeline.consumers import PredictorConsumer
+from ..sim.api import DEFAULT_BACKEND
 from ..workloads.registry import resolve_benchmark
 from .admission import AdmissionController
 from .jobs import ServiceJob, ServiceJournal, build_predictor
@@ -199,7 +200,7 @@ class AnalysisService:
             name=benchmark,
             scale=float(frame.get("scale", 1.0)),
             trace_limit=frame.get("trace_limit"),
-            backend=str(frame.get("backend", "interp")),
+            backend=str(frame.get("backend", DEFAULT_BACKEND)),
         )
         return (
             job_id,

@@ -32,6 +32,7 @@ from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional, Tuple
 
 from ..eval import faults
+from ..sim.api import DEFAULT_BACKEND
 from .wire import encode_frame, read_frame
 
 #: Frame types that end one request's stream.
@@ -55,7 +56,7 @@ class LoadgenConfig:
     tenants: Tuple[str, ...] = ("tenant-0",)
     scale: float = 0.05
     trace_limit: Optional[int] = None
-    backend: str = "interp"
+    backend: str = DEFAULT_BACKEND
     predictors: Tuple[str, ...] = ()
     deadline_s: Optional[float] = None
     #: per-request budget for the response stream (client-side guard so

@@ -83,7 +83,9 @@ class SuperblockBackend:
         return SuperblockExecutor(program, state, environment, branch_hook)
 
 
-DEFAULT_BACKEND = "interp"
+#: The compiled core: byte-identical to the interpreter (the differential
+#: tests keep the interpreter as the oracle) and several times faster.
+DEFAULT_BACKEND = "superblock"
 
 BACKENDS = {
     backend.name: backend
@@ -103,7 +105,7 @@ def get_backend(
 
     Args:
         backend: a registered name, an object satisfying the protocol,
-            or None for the default interpreter.
+            or None for :data:`DEFAULT_BACKEND`.
 
     Raises:
         ValueError: for an unknown name.

@@ -36,21 +36,40 @@ ground truth — for three cases:
   overshoot the budget);
 * any program whose CFG or cover cannot be formed.
 
+Inside a region registers live in locals.  The body runs in a
+``while True`` (once, unless the region loops), every exit stores its
+``(next pc, retired, conditional, taken)`` tuple and ``break``s, and a
+single epilogue writes back the registers the region can assign.
+Loads and stores are inline too: an aligned word on a resident page is
+read or written through the page's native int32 view, a byte through
+the page itself (:meth:`~repro.sim.memory.Memory.page_tables`).  That is
+exact because registers always hold wrapped int32 values and an aligned
+word never crosses a page.  Everything else (unaligned or page-crossing
+words, untouched pages, stores that create a page) calls the
+:class:`~repro.sim.memory.Memory` methods the interpreter uses.  The
+views are native-endian, so the word fast path is emitted only on
+little-endian hosts (:data:`NATIVE_WORDS`); elsewhere every word access
+calls the methods.
+
 Branch observation is preserved exactly.  Three specializations of each
 region exist, selected by the hook attached to the run:
 
 * ``bus`` — the hook is a plain :class:`~repro.pipeline.bus.BranchEventBus`
   with no event limit: events are appended straight onto the bus's
-  staged columns, with the chunk-flush check after every event so chunk
-  boundaries — and therefore checkpoint bytes — are identical to the
+  staged columns.  Full chunks are cut at region boundaries — at loop
+  back-edges and after every compiled call — by
+  :meth:`~repro.pipeline.bus.BranchEventBus.drain`, which slices the
+  staged events into exact ``chunk_events`` chunks, so chunk boundaries
+  — and therefore checkpoint bytes — are identical to the
   interpreter's.  ``stats.events`` is reconciled once per ``run`` call.
 * ``hook`` — any other hook (or a bus with a limit): the generated code
   calls ``on_branch`` per event, exactly like the interpreter.
 * ``none`` — no hook: no event code is emitted at all.
 
-Compiled tables are cached per ``(program image, mode)`` in a small
-module-level LRU keyed by the sha256 of the program image, so engine
-workers and repeated runs of the same workload compile once.
+Compiled tables are cached per ``(program, mode)`` in a small
+module-level LRU keyed by the program's content (instructions, entry
+point, text base and data, compared by value, nothing encoded), so
+engine workers and repeated runs of the same workload compile once.
 
 Deliberate non-goal, matching the interpreter's behaviour: an exception
 escaping mid-region (memory fault, syscall error) leaves the executor's
@@ -61,7 +80,8 @@ unrecoverable and no artifact is persisted from them.
 
 from __future__ import annotations
 
-import hashlib
+import struct
+import sys
 from collections import OrderedDict
 from typing import Dict, List, Optional, Set, Tuple
 
@@ -109,6 +129,16 @@ _BRANCH_PREDICATES = {
 }
 
 
+#: Loads and stores, emitted inline by :meth:`_FnEmitter.memory_access`.
+_MEMORY_OPS = frozenset((O.LW, O.SW, O.LB, O.SB))
+
+#: Aligned words are read and written through native int32 views of the
+#: pages, which match the simulated machine's little-endian words only
+#: on a little-endian host with a 4-byte C int; elsewhere every word
+#: access goes through the :class:`~repro.sim.memory.Memory` methods.
+NATIVE_WORDS = sys.byteorder == "little" and struct.calcsize("i") == 4
+
+
 class _NeedLoop(Exception):
     """First emission pass found an exit back to the entry head."""
 
@@ -120,7 +150,15 @@ def _wrap(expr: str) -> str:
 
 class _FnEmitter:
     """Generates one compiled entry function (a trace suffix plus
-    whatever neighbouring traces fit the inline budget)."""
+    whatever neighbouring traces fit the inline budget).
+
+    The body sits in a ``while True`` (run once unless the function
+    loops back to its entry).  Every exit stores its result tuple in
+    ``_x`` and ``break``s to the single epilogue, which writes back
+    every register the function can assign and returns ``_x``.  Every
+    register the function reads or assigns is loaded at entry, so
+    registers a path never assigns write back their unchanged value.
+    """
 
     def __init__(
         self,
@@ -144,8 +182,12 @@ class _FnEmitter:
         entry_index = positions_of[region_index][offset][0]
         self.entry_address = program.address_of(entry_index)
         self.body: List[str] = []
-        self.preload: Set[int] = set()
-        self.all_assigned: Set[int] = set()
+        #: (body position, indent, kind) of lines known only once the
+        #: whole function is emitted: "writeback" (an ecall's) and
+        #: "drain" (a loop back-edge's chunk check, bus mode only)
+        self.pending: List[Tuple[int, int, str]] = []
+        self.loads: Set[int] = set()
+        self.assigned: Set[int] = set()
         self.helpers: Set[Opcode] = set()
         self.emitted = 0
         self.events = 0
@@ -156,44 +198,26 @@ class _FnEmitter:
     def emit(self, line: str, indent: int) -> None:
         self.body.append("    " * indent + line)
 
-    def reg(self, number: int, assigned: Set[int]) -> str:
+    def reg(self, number: int) -> str:
         if number == 0:
             return "0"
-        if number not in assigned:
-            self.preload.add(number)
+        self.loads.add(number)
         return f"r{number}"
 
-    def assign(self, number: int, assigned: Set[int]) -> None:
-        assigned.add(number)
-        self.all_assigned.add(number)
-
-    def writeback(self, assigned: Set[int], indent: int) -> None:
-        """Flush dirty locals to the register file.
-
-        In looping mode the path-scoped *assigned* set is not enough: a
-        loop-back ``continue`` carries assignments from earlier
-        iterations in locals, so every exit must flush the union of all
-        registers the function can assign (a placeholder, expanded once
-        emission has seen them all; unassigned ones flush their
-        preloaded — hence unchanged — value).
-        """
-        if self.looping:
-            self.emit("__WB__", indent)
-            return
-        for number in sorted(assigned):
-            self.emit(f"regs[{number}] = r{number}", indent)
-
-    def _exit_tuple(self, target: str, k: int, c: int, t: int) -> str:
-        if self.looping:
-            return f"({target}, _n + {k}, _c + {c}, _k + {t})"
-        taken = f"{t} + _tkc" if self.degenerate else str(t)
-        return f"({target}, {k}, {c}, {taken})"
+    def assign(self, number: int) -> None:
+        self.loads.add(number)
+        self.assigned.add(number)
 
     def raw_exit(self, target: str, k: int, c: int, t: int,
-                 assigned: Set[int], indent: int) -> None:
-        """Write dirty registers back and return to the dispatcher."""
-        self.writeback(assigned, indent)
-        self.emit(f"return {self._exit_tuple(target, k, c, t)}", indent)
+                 indent: int) -> None:
+        """Leave for the epilogue, which writes back and returns."""
+        if self.looping:
+            counts = f"_n + {k}, _c + {c}, _k + {t}"
+        else:
+            taken = f"{t} + _tkc" if self.degenerate else str(t)
+            counts = f"{k}, {c}, {taken}"
+        self.emit(f"_x = ({target}, {counts})", indent)
+        self.emit("break", indent)
 
     def event(self, pc: int, target: int, k: int, indent: int) -> None:
         """Emit one branch event (outcome in ``_t``) at position *k*."""
@@ -202,24 +226,17 @@ class _FnEmitter:
         if self.mode == "hook":
             self.emit(f"aux({pc}, {target}, _t, {stamp})", indent)
         elif self.mode == "bus":
+            # staged only: full chunks are cut at loop back-edges and
+            # after each compiled call (BranchEventBus.drain)
             self.emit(f"_pcs.append({pc})", indent)
             self.emit(f"_tgl.append({target})", indent)
             self.emit("_tkl.append(_t)", indent)
             self.emit(f"_tsl.append({stamp})", indent)
-            # exact chunk boundaries: flush check after *every* event,
-            # and re-fetch the staged lists (flush replaces them)
-            self.emit("if len(_pcs) >= _ce:", indent)
-            self.emit("aux._flush()", indent + 1)
-            self.emit("_pcs = aux._pcs", indent + 1)
-            self.emit("_tgl = aux._targets", indent + 1)
-            self.emit("_tkl = aux._taken", indent + 1)
-            self.emit("_tsl = aux._timestamps", indent + 1)
 
     # -- exits -----------------------------------------------------------
 
     def static_exit(self, target: int, k: int, c: int, t: int,
-                    assigned: Set[int], indent: int,
-                    path: Tuple[int, ...]) -> None:
+                    indent: int, path: Tuple[int, ...]) -> None:
         """Leave for a statically-known address: loop back to the entry,
         inline the successor trace, or return to the dispatcher."""
         if target == self.entry_address:
@@ -231,8 +248,9 @@ class _FnEmitter:
             if t:
                 self.emit(f"_k += {t}", indent)
             self.emit("if _b - _n >= __WORST__:", indent)
+            self.pending.append((len(self.body), indent + 1, "drain"))
             self.emit("continue", indent + 1)
-            self.raw_exit(str(target), 0, 0, 0, assigned, indent)
+            self.raw_exit(str(target), 0, 0, 0, indent)
             return
         region = self.head_of.get(target)
         if (
@@ -242,18 +260,14 @@ class _FnEmitter:
             and self.emitted + len(self.positions_of[region])
             <= MAX_FN_INSTRUCTIONS
         ):
-            self.emit_region(
-                region, 0, k, c, t, set(assigned), indent,
-                path + (target,),
-            )
+            self.emit_region(region, 0, k, c, t, indent, path + (target,))
             return
-        self.raw_exit(str(target), k, c, t, assigned, indent)
+        self.raw_exit(str(target), k, c, t, indent)
 
     # -- per-region emission ---------------------------------------------
 
     def emit_region(self, region_index: int, offset: int, k: int, c: int,
-                    t: int, assigned: Set[int], indent: int,
-                    path: Tuple[int, ...]) -> None:
+                    t: int, indent: int, path: Tuple[int, ...]) -> None:
         """Emit a trace suffix; every control path ends in an exit."""
         positions = self.positions_of[region_index]
         program = self.program
@@ -270,8 +284,7 @@ class _FnEmitter:
 
             if op in _BRANCH_PREDICATES:
                 predicate = _BRANCH_PREDICATES[op].format(
-                    a=self.reg(ins.rs1, assigned),
-                    b=self.reg(ins.rs2, assigned),
+                    a=self.reg(ins.rs1), b=self.reg(ins.rs2)
                 )
                 target = pc + ins.imm
                 self.emit(f"_t = {predicate}", indent)
@@ -287,102 +300,139 @@ class _FnEmitter:
                         self.degenerate = True
                         self.emit("_tkc += 1", indent + 1)
                     if following is None:
-                        self.static_exit(pc + 4, k, c, t, assigned, indent,
-                                         path)
+                        self.static_exit(pc + 4, k, c, t, indent, path)
                         return
                 elif following is None:  # tail: both directions exit
                     self.emit("if _t:", indent)
-                    self.static_exit(target, k, c, t + 1, set(assigned),
-                                     indent + 1, path)
-                    self.static_exit(pc + 4, k, c, t, assigned, indent, path)
+                    self.static_exit(target, k, c, t + 1, indent + 1, path)
+                    self.static_exit(pc + 4, k, c, t, indent, path)
                     return
                 elif following == target:  # continue on the taken path
                     self.emit("if not _t:", indent)
-                    self.static_exit(pc + 4, k, c, t, set(assigned),
-                                     indent + 1, path)
+                    self.static_exit(pc + 4, k, c, t, indent + 1, path)
                     t += 1
                 else:  # continue on fallthrough; taken is the side exit
                     self.emit("if _t:", indent)
-                    self.static_exit(target, k, c, t + 1, set(assigned),
-                                     indent + 1, path)
+                    self.static_exit(target, k, c, t + 1, indent + 1, path)
             elif op is O.JAL:
                 if ins.rd:
                     self.emit(f"r{ins.rd} = {pc + 4}", indent)
-                    self.assign(ins.rd, assigned)
+                    self.assign(ins.rd)
                 target = pc + ins.imm
                 if following != target:
                     # a call's CFG successor is its *return point* —
                     # dynamically, control always goes to the target
-                    self.static_exit(target, k, c, t, assigned, indent, path)
+                    self.static_exit(target, k, c, t, indent, path)
                     return
             elif op is O.JALR:
                 # destination before the link write, exactly like the
                 # interpreter (matters when rd == rs1)
-                self.emit(
-                    f"_d = ({self.reg(ins.rs1, assigned)} + {ins.imm}) & -4",
-                    indent,
-                )
+                self.emit(f"_d = ({self.reg(ins.rs1)} + {ins.imm}) & -4",
+                          indent)
                 if ins.rd:
                     self.emit(f"r{ins.rd} = {pc + 4}", indent)
-                    self.assign(ins.rd, assigned)
+                    self.assign(ins.rd)
                 if following is None:
-                    self.raw_exit("_d", k, c, t, assigned, indent)
+                    self.raw_exit("_d", k, c, t, indent)
                     return
                 self.emit(f"if _d != {following}:", indent)
-                self.raw_exit("_d", k, c, t, assigned, indent + 1)
+                self.raw_exit("_d", k, c, t, indent + 1)
             elif op is O.ECALL:
                 # the environment sees the real machine state: write
-                # every dirty register back, point state.pc at the
-                # faulting instruction, re-read a0 (the only register a
-                # syscall may write)
-                self.writeback(assigned, indent)
+                # every register back, point state.pc at the faulting
+                # instruction, re-read a0 (the only register a syscall
+                # may write)
+                self.pending.append((len(self.body), indent, "writeback"))
                 self.emit(f"state.pc = {pc}", indent)
                 self.emit("env.handle(state)", indent)
                 self.emit("r10 = regs[10]", indent)
-                self.assign(10, assigned)
+                self.assign(10)
                 self.emit("if state.halted:", indent)
-                self.raw_exit(str(pc + 4), k, c, t, set(assigned),
-                              indent + 1)
+                self.raw_exit(str(pc + 4), k, c, t, indent + 1)
             elif op is O.HALT:
                 self.emit("state.halted = True", indent)
-                self.raw_exit(str(pc + 4), k, c, t, assigned, indent)
+                self.raw_exit(str(pc + 4), k, c, t, indent)
                 return
+            elif op in _MEMORY_OPS:
+                self.memory_access(ins, indent)
             else:
-                self.straight_line(ins, assigned, indent)
+                self.straight_line(ins, indent)
         # the tail fell through: continue at the next address
         index, _ = positions[last]
-        self.static_exit(program.address_of(index) + 4, k, c, t, assigned,
-                         indent, path)
+        self.static_exit(program.address_of(index) + 4, k, c, t, indent,
+                         path)
 
-    def straight_line(self, ins: Instruction, assigned: Set[int],
-                      indent: int) -> None:
+    def memory_access(self, ins: Instruction, indent: int) -> None:
+        """Inline load/store: index the page (bytes) or its int32 view
+        (aligned words) when the page is resident, else call the
+        :class:`~repro.sim.memory.Memory` method, which also covers
+        unaligned and page-crossing words and creates pages on store."""
+        op = ins.opcode
+        if op in (O.LW, O.LB) and not ins.rd:
+            return  # x0 loads are skipped entirely, like the interpreter
+        self.helpers.add(op)
+        # The address is left unwrapped: a page lookup only hits for
+        # 0 <= a < 2**32 (page numbers are wrapped addresses >> 12), where
+        # the wrap is the identity; any other value misses and the
+        # method, which wraps, does the access.
+        a = self.reg(ins.rs1)
+        if ins.imm:
+            self.emit(f"_a = {a} + {ins.imm}", indent)
+            a = "_a"
+        if op is O.LW or op is O.SW:
+            if not NATIVE_WORDS:
+                # the int32 views would be byte-swapped on this host
+                if op is O.LW:
+                    self.emit(f"r{ins.rd} = _lw({a})", indent)
+                    self.assign(ins.rd)
+                else:
+                    self.emit(f"_sw({a}, {self.reg(ins.rs2)})", indent)
+                return
+            self.emit(f"_w = _wg({a} >> 12)", indent)
+            fast = f"_w is not None and not {a} & 3"
+            word = f"_w[({a} & 4095) >> 2]"
+            if op is O.LW:
+                self.emit(f"r{ins.rd} = {word} if {fast} else _lw({a})",
+                          indent)
+                self.assign(ins.rd)
+            else:
+                value = self.reg(ins.rs2)
+                self.emit(f"if {fast}: {word} = {value}", indent)
+                self.emit(f"else: _sw({a}, {value})", indent)
+            return
+        self.emit(f"_p = _pg({a} >> 12)", indent)
+        if op is O.LB:
+            self.emit(
+                f"r{ins.rd} = _p[{a} & 4095] if _p is not None else _lb({a})",
+                indent,
+            )
+            self.assign(ins.rd)
+        else:
+            value = self.reg(ins.rs2)
+            self.emit(f"if _p is not None: _p[{a} & 4095] = {value} & 255",
+                      indent)
+            self.emit(f"else: _sb({a}, {value})", indent)
+
+    def straight_line(self, ins: Instruction, indent: int) -> None:
         op = ins.opcode
         rd, imm = ins.rd, ins.imm
-        a = self.reg(ins.rs1, assigned)
-        if op is O.SW:
-            self.helpers.add(op)
-            self.emit(f"_sw({a} + {imm}, {self.reg(ins.rs2, assigned)})",
-                      indent)
-            return
-        if op is O.SB:
-            self.helpers.add(op)
-            self.emit(f"_sb({a} + {imm}, {self.reg(ins.rs2, assigned)})",
-                      indent)
-            return
         if not rd:
-            return  # x0 writes (and their loads) are skipped entirely
+            return  # x0 writes are skipped entirely
+        a = self.reg(ins.rs1)
         d = f"r{rd}"
         if op is O.ADDI:
-            line = f"{d} = {_wrap(f'{a} + {imm}')}"
-        elif op is O.LW:
-            self.helpers.add(op)
-            line = f"{d} = _lw({a} + {imm})"
-        elif op is O.LB:
-            self.helpers.add(op)
-            line = f"{d} = _lb({a} + {imm})"
+            if a == "0":  # li
+                line = f"{d} = {wrap32(imm)}"
+            elif not imm:  # mv: the source already holds an int32
+                line = f"{d} = {a}"
+            else:  # the bias of the wrap absorbs the immediate
+                line = (
+                    f"{d} = (({a} + {imm + 0x80000000}) & 0xFFFFFFFF) "
+                    f"- 0x80000000"
+                )
         elif op in (O.ADD, O.SUB, O.MUL, O.AND, O.OR, O.XOR, O.SLL, O.SRL,
                     O.SRA, O.SLT, O.SLTU):
-            b = self.reg(ins.rs2, assigned)
+            b = self.reg(ins.rs2)
             if op is O.ADD:
                 line = f"{d} = {_wrap(f'{a} + {b}')}"
             elif op is O.SUB:
@@ -432,7 +482,7 @@ class _FnEmitter:
         elif op is O.LUI:
             line = f"{d} = {wrap32(imm << 13)}"
         elif op in (O.DIV, O.REM):
-            b = self.reg(ins.rs2, assigned)
+            b = self.reg(ins.rs2)
             self.emit(f"_v = {b}", indent)
             self.emit("if _v == 0:", indent)
             if op is O.DIV:
@@ -450,54 +500,59 @@ class _FnEmitter:
                 self.emit(f"if {a} < 0:", indent + 1)
                 self.emit("_q = -_q", indent + 2)
                 self.emit(f"{d} = _q", indent + 1)
-            self.assign(rd, assigned)
+            self.assign(rd)
             return
         else:  # pragma: no cover - every opcode is handled above
             raise NotImplementedError(f"no specialization for {op!r}")
         self.emit(line, indent)
-        self.assign(rd, assigned)
+        self.assign(rd)
 
     # -- assembly --------------------------------------------------------
 
     def source(self) -> str:
-        indent = 2 if self.looping else 1
         self.emit_region(
-            self.region_index, self.offset, 0, 0, 0, set(), indent,
-            (self.entry_address,),
+            self.region_index, self.offset, 0, 0, 0, 2, (self.entry_address,)
         )
-        prologue = [f"def {self.name}(regs, memory, env, state, aux, n0, _b):"]
-        loads = self.preload | (self.all_assigned if self.looping else set())
-        for number in sorted(loads):
-            prologue.append(f"    r{number} = regs[{number}]")
+        lines = [
+            f"def {self.name}(regs, memory, _pg, _wg, env, state, aux, n0, "
+            f"_b):"
+        ]
+        for number in sorted(self.loads):
+            lines.append(f"    r{number} = regs[{number}]")
         helper_names = {
             O.LW: "_lw = memory.load_word", O.SW: "_sw = memory.store_word",
             O.LB: "_lb = memory.load_byte", O.SB: "_sb = memory.store_byte",
         }
         for op in (O.LW, O.SW, O.LB, O.SB):
             if op in self.helpers:
-                prologue.append(f"    {helper_names[op]}")
-        if self.mode == "bus" and self.events:
-            prologue.append("    _pcs = aux._pcs")
-            prologue.append("    _tgl = aux._targets")
-            prologue.append("    _tkl = aux._taken")
-            prologue.append("    _tsl = aux._timestamps")
-            prologue.append("    _ce = aux.chunk_events")
+                lines.append(f"    {helper_names[op]}")
+        bus = self.mode == "bus" and self.events
+        if bus:
+            lines.append("    _pcs = aux._pcs")
+            lines.append("    _tgl = aux._targets")
+            lines.append("    _tkl = aux._taken")
+            lines.append("    _tsl = aux._timestamps")
+            lines.append("    _ce = aux.chunk_events")
         if self.degenerate:
-            prologue.append("    _tkc = 0")
+            lines.append("    _tkc = 0")
         if self.looping:
-            prologue.append("    _n = 0")
-            prologue.append("    _c = 0")
-            prologue.append("    _k = 0")
-            prologue.append("    while True:")
-        lines: List[str] = []
-        flush = [f"regs[{n}] = r{n}" for n in sorted(self.all_assigned)]
-        for line in prologue + self.body:
-            stripped = line.lstrip()
-            if stripped == "__WB__":
-                pad = line[: len(line) - len(stripped)]
-                lines.extend(pad + store for store in flush)
-            else:
-                lines.append(line)
+            lines.append("    _n = 0")
+            lines.append("    _c = 0")
+            lines.append("    _k = 0")
+        lines.append("    while True:")
+        writeback = [f"regs[{n}] = r{n}" for n in sorted(self.assigned)]
+        fill = {
+            "writeback": writeback,
+            "drain": ["if len(_pcs) >= _ce: aux.drain()"] if bus else [],
+        }
+        start = 0
+        for position, indent, kind in self.pending:
+            lines.extend(self.body[start:position])
+            lines.extend("    " * indent + line for line in fill[kind])
+            start = position
+        lines.extend(self.body[start:])
+        lines.extend("    " + store for store in writeback)
+        lines.append("    return _x")
         return "\n".join(lines).replace("__WORST__", str(self.emitted))
 
 
@@ -585,21 +640,27 @@ def _materialize(entry: List, mode: str):
     return fn
 
 
-_code_cache: "OrderedDict[Tuple[str, str], TraceTable]" = OrderedDict()
+_code_cache: "OrderedDict[Tuple[tuple, str], TraceTable]" = OrderedDict()
 
 
-def _image_key(program: Program) -> str:
-    text, data = program.to_image()
-    digest = hashlib.sha256()
-    digest.update(text)
-    digest.update(program.entry_point.to_bytes(8, "little"))
-    digest.update(data)
-    return digest.hexdigest()
+def _program_key(program: Program) -> tuple:
+    """Everything the compiled table depends on, compared by value.
+
+    Instructions are frozen dataclasses, so the tuple hashes and compares
+    them field by field; no image encoding is needed to tell programs
+    apart.
+    """
+    return (
+        tuple(program.instructions),
+        program.entry_point,
+        program.text_base,
+        program.data,
+    )
 
 
 def compiled_table(program: Program, mode: str) -> TraceTable:
     """The (cached) specialized trace table for *program* and *mode*."""
-    key = (_image_key(program), mode)
+    key = (_program_key(program), mode)
     table = _code_cache.get(key)
     if table is None:
         table = compile_program(program, mode)
@@ -649,8 +710,15 @@ class SuperblockExecutor(Executor):
         table = self._table(mode)
         regs = state.regs
         memory = state.memory
+        pages, words = memory.page_tables()
+        page_get, word_get = pages.get, words.get
         env = self.environment
         get = table.get
+        # compiled bus-mode regions stage events without cutting chunks
+        # (loops drain at their back-edges): drain after every call, so
+        # fewer than chunk_events stay staged whenever the interpreter
+        # or the caller sees the bus
+        chunk_events = aux.chunk_events if mode == "bus" else None
 
         budget = max_instructions
         count = self.instruction_count
@@ -667,8 +735,11 @@ class SuperblockExecutor(Executor):
                     if fn is None:
                         fn = _materialize(entry, mode)
                     pc, executed, dcond, dtaken = fn(
-                        regs, memory, env, state, aux, count, budget
+                        regs, memory, page_get, word_get, env, state, aux,
+                        count, budget,
                     )
+                    if chunk_events and len(aux._pcs) >= chunk_events:
+                        aux.drain()
                     count += executed
                     cond += dcond
                     taken += dtaken

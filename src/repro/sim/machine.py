@@ -54,7 +54,7 @@ class Simulator:
 
     The execution strategy is pluggable: *backend* names a
     :class:`~repro.sim.api.SimulatorBackend` (``"interp"`` or
-    ``"superblock"``; the interpreter by default).
+    ``"superblock"``; the compiled core by default).
 
     Example::
 

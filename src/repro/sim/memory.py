@@ -3,11 +3,20 @@
 The simulated machine has a 32-bit address space; only touched 4 KiB pages
 are materialised.  Multi-byte accesses are little-endian and may cross page
 boundaries (handled generically, byte by byte, since they are rare).
+
+Next to each page :class:`Memory` keeps a native ``int32`` view of the same
+bytes (``memoryview(page).cast("i")``).  The compiled simulation core
+(:mod:`repro.sim.compile`) indexes those views and the pages directly for
+aligned words and for bytes on resident pages, and calls the methods below
+for everything else; :meth:`Memory.page_tables` hands both tables out.
+The views are native-endian, so the compiled core reads words through
+them only on little-endian hosts.  Both tables only ever change through
+this class, so a view never outlives or misses its page.
 """
 
 from __future__ import annotations
 
-from typing import Dict
+from typing import Dict, Mapping, Tuple
 
 from ..errors import MemAccessError
 
@@ -20,18 +29,59 @@ ADDRESS_MASK = 0xFFFF_FFFF
 class Memory:
     """Sparse paged memory with word/byte accessors."""
 
-    __slots__ = ("_pages",)
+    __slots__ = ("_pages", "_words")
 
     def __init__(self) -> None:
         self._pages: Dict[int, bytearray] = {}
+        #: page number -> native int32 view of that page's bytes
+        self._words: Dict[int, memoryview] = {}
 
     def _page(self, address: int) -> bytearray:
         page_number = address >> PAGE_SHIFT
         page = self._pages.get(page_number)
         if page is None:
-            page = bytearray(PAGE_SIZE)
-            self._pages[page_number] = page
+            page = self._add_page(page_number, bytearray(PAGE_SIZE))
         return page
+
+    def _add_page(self, page_number: int, page: bytearray) -> bytearray:
+        self._pages[page_number] = page
+        self._words[page_number] = memoryview(page).cast("i")
+        return page
+
+    def page_tables(
+        self,
+    ) -> Tuple[Dict[int, bytearray], Dict[int, memoryview]]:
+        """``(pages, words)``: page number -> page bytes, and page number
+        -> native int32 view of the same bytes.
+
+        Callers read and write through the returned objects but never
+        add or remove entries; pages are created by the store methods and
+        replaced only by :meth:`restore_pages`, which updates both dicts
+        in place, so the pair stays valid for the memory's lifetime.
+        """
+        return self._pages, self._words
+
+    # -- whole-memory export (checkpoints) ---------------------------------
+
+    def export_pages(self) -> Dict[int, bytes]:
+        """An immutable copy of every resident page, by page number."""
+        return {number: bytes(page) for number, page in self._pages.items()}
+
+    def restore_pages(self, pages: Mapping[int, bytes]) -> None:
+        """Replace the whole memory with *pages* (from :meth:`export_pages`).
+
+        The page tables are updated in place, so references obtained from
+        :meth:`page_tables` see the restored bytes.
+        """
+        self._words.clear()
+        self._pages.clear()
+        for number, data in pages.items():
+            if len(data) != PAGE_SIZE:
+                raise ValueError(
+                    f"page {number:#x} holds {len(data)} bytes, "
+                    f"expected {PAGE_SIZE}"
+                )
+            self._add_page(number, bytearray(data))
 
     # -- byte access -------------------------------------------------------
 

@@ -262,7 +262,7 @@ def _fingerprint(tmp_path, tag, profiler, builder, bus):
 
 
 def _run_to_completion(
-    built, config=None, fault_plan=None, benchmark="", backend=None
+    built, config=None, fault_plan=None, benchmark="", backend="interp"
 ):
     # fixed labels: the fingerprint embeds them, and fault plans key on
     # the *benchmark* argument independently of the display label

@@ -108,7 +108,7 @@ def test_run_json_envelope(capsys):
     assert main(["run", "plot", "--scale", "0.05", "--json"]) == 0
     document = _json_out(capsys, "run")
     assert document["params"]["benchmark"] == "plot"
-    assert document["params"]["backend"] == "interp"
+    assert document["params"]["backend"] == "superblock"
     assert document["results"]["retired_instructions"] > 0
     assert document["results"]["static_branches"] > 0
 
@@ -124,10 +124,11 @@ def test_version_reports_package_and_schema(capsys):
 
 
 def test_run_backend_flag_is_equivalent(capsys):
-    assert main(["run", "plot", "--scale", "0.05", "--json"]) == 0
-    interp = _json_out(capsys, "run")
     assert main(["run", "plot", "--scale", "0.05", "--json",
-                 "--backend", "superblock"]) == 0
+                 "--backend", "interp"]) == 0
+    interp = _json_out(capsys, "run")
+    assert interp["params"]["backend"] == "interp"
+    assert main(["run", "plot", "--scale", "0.05", "--json"]) == 0
     superblock = _json_out(capsys, "run")
     assert superblock["params"]["backend"] == "superblock"
     # identical results; only the params differ (by the backend name)

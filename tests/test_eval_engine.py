@@ -120,7 +120,7 @@ def test_digest_tracks_every_capture_parameter(change):
         workload = dataclasses.replace(workload, fuel=workload.fuel + 1)
     kwargs = {
         "limit": {"trace_limit": 500},
-        "backend": {"backend": "superblock"},
+        "backend": {"backend": "interp"},  # the default is superblock
     }.get(change, {})
     assert artifact_digest(workload, **kwargs) != base
 
@@ -179,7 +179,7 @@ def test_store_round_trip_and_counters(tmp_path):
     assert cold.stats.store_hits == 0
 
     digest = cold.digest("plot")
-    stem = f"plot-s{SCALE:g}-{digest[:ArtifactStore.DIGEST_CHARS]}"
+    stem = f"{cold.job('plot').tag()}-{digest[:ArtifactStore.DIGEST_CHARS]}"
     trace_path = tmp_path / f"{stem}.trace.npz"
     meta_path = tmp_path / f"{stem}.meta.json"
     assert trace_path.exists()

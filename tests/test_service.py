@@ -447,8 +447,9 @@ def test_submit_dedupes_in_flight_digest(tmp_path):
         "job-1", "job-2",
     ]
     # a different backend changes the digest: no dedupe across backends
+    # (the frames above take the default, superblock)
     service._dispatch(
-        submit_frame("job-3", backend="superblock"), conn
+        submit_frame("job-3", backend="interp"), conn
     )
     (third,) = drain_frames(conn)
     assert third["dedup"] is False

@@ -8,7 +8,9 @@ Three layers of evidence:
   and run results;
 * hypothesis — random branchy looping programs, where the compiled
   self-loop and trace-inlining paths must match the interpreter's final
-  architectural state and event stream exactly;
+  architectural state and event stream exactly, and random programs of
+  loads, stores and environment calls, where the inline page-view
+  accesses must also leave every page byte-identical;
 * the :mod:`repro.sim.api` resolution rules themselves.
 """
 
@@ -181,18 +183,139 @@ def test_random_branchy_loop_matches_interpreter(seeds, blocks, trip):
     assert interp == superblock
 
 
+# -- hypothesis: loads and stores ----------------------------------------
+
+#: Base addresses that hit each memory path: the data pages (resident at
+#: load), page offsets 4092-4095 (with small immediates, words cross the
+#: page), a page nothing touches before, and int32 values whose sum with
+#: an immediate wraps past 2**32 or below zero.
+_BASES = [
+    0x0010_0000, 0x0010_0002, 0x0020_0FFC, 0x0020_0FFD, 0x0030_0000,
+    -4, -2, 6, 0x7FFF_FFFC, -(1 << 31),
+]
+_IMMS = [0, 1, 2, 3, 4, 5, 8, -1, -3, -4, -8, -16, 4092, 4093, 4095, -4096]
+_BASE_REGS = list(range(20, 24))
+
+_mem_item = st.one_of(
+    st.tuples(
+        st.sampled_from(["lw", "sw", "lb", "sb"]),
+        st.sampled_from(_REGS),
+        st.sampled_from(_BASE_REGS),
+        st.sampled_from(_IMMS),
+    ),
+    st.tuples(
+        st.sampled_from(_ALU_OPS),
+        st.sampled_from(_REGS),
+        st.sampled_from(_REGS),
+        st.sampled_from(_REGS),
+    ),
+    # an environment call inside the region: print a1, input size, or
+    # the seeded random stream (the syscall number goes in a0 = x10)
+    st.tuples(st.just("ecall"), st.sampled_from([1, 4, 6])),
+)
+
+_mem_block = st.tuples(
+    st.lists(_mem_item, min_size=1, max_size=6),
+    st.sampled_from(_BRANCH_OPS),
+    st.sampled_from(_REGS),
+    st.sampled_from(_REGS),
+)
+
+
+def _machine(program, backend):
+    events = []
+
+    class Recorder:
+        def on_branch(self, pc, target, taken, timestamp):
+            events.append((pc, target, taken, timestamp))
+
+    sim = Simulator(program, branch_hook=Recorder(), backend=backend,
+                    input_data=b"abc")
+    sim.run(max_instructions=200_000)
+    state = sim.state
+    return (
+        events, list(state.regs), state.pc, state.halted,
+        bytes(sim.environment.output),
+        sorted(state.memory.export_pages().items()),
+    )
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    seeds=st.lists(
+        st.integers(min_value=-(1 << 31), max_value=(1 << 31) - 1),
+        min_size=len(_REGS),
+        max_size=len(_REGS),
+    ),
+    bases=st.lists(
+        st.one_of(
+            st.sampled_from(_BASES),
+            st.integers(min_value=-(1 << 31), max_value=(1 << 31) - 1),
+        ),
+        min_size=len(_BASE_REGS),
+        max_size=len(_BASE_REGS),
+    ),
+    blocks=st.lists(_mem_block, min_size=1, max_size=5),
+    trip=st.integers(min_value=1, max_value=6),
+)
+def test_random_memory_program_matches_interpreter(seeds, bases, blocks,
+                                                   trip):
+    # the loop (a compiled self-loop) stores to a fresh page on every
+    # iteration and reads it back, so pages are created mid-region; the
+    # blocks mix ALU work with loads and stores at aligned, unaligned,
+    # page-crossing, untouched and wrapping addresses and with ecalls
+    lines = ["main:"]
+    for reg, value in zip(_REGS, seeds):
+        lines.append(f"    li x{reg}, {value}")
+    for reg, value in zip(_BASE_REGS, bases):
+        lines.append(f"    li x{reg}, {value}")
+    lines.append("    li x24, 0x400000")
+    lines.append("    li x25, 4096")
+    lines.append(f"    li x13, {trip}")
+    lines.append("loop:")
+    lines.append("    sw x5, 4(x24)")
+    lines.append("    lw x6, 4(x24)")
+    lines.append("    lb x7, 5(x24)")
+    lines.append("    add x24, x24, x25")
+    for i, (items, branch, rs1, rs2) in enumerate(blocks):
+        lines.append(f"block{i}:")
+        for item in items:
+            if item[0] == "ecall":
+                lines.append(f"    li x10, {item[1]}")
+                lines.append("    ecall")
+            else:
+                op, a, b, c = item
+                if op in _ALU_OPS:
+                    lines.append(f"    {op} x{a}, x{b}, x{c}")
+                else:
+                    lines.append(f"    {op} x{a}, {c}(x{b})")
+        lines.append(f"    {branch} x{rs1}, x{rs2}, block{i + 1}")
+        lines.append(f"    addi x{rs1}, x{rs1}, 1")
+    lines.append(f"block{len(blocks)}:")
+    lines.append("    addi x13, x13, -1")
+    lines.append("    bne x13, x0, loop")
+    lines.append("    halt")
+    lines.append(".data")
+    lines.append("buf: .word 1, -2, 0x7FFFFFFF, -2147483648")
+    # neighbouring resident pages, so a lookup of the wrong page hits
+    lines.append("    .space 8192")
+    program = assemble("\n".join(lines))
+
+    assert _machine(program, "interp") == _machine(program, "superblock")
+
+
 # -- backend resolution ----------------------------------------------------
 
 
 def test_backend_registry():
     assert backend_names() == ["interp", "superblock"]
-    assert DEFAULT_BACKEND == "interp"
+    assert DEFAULT_BACKEND == "superblock"
     assert isinstance(BACKENDS["interp"], InterpBackend)
     assert isinstance(BACKENDS["superblock"], SuperblockBackend)
 
 
 def test_get_backend_resolution():
-    assert get_backend(None).name == "interp"
+    assert get_backend(None).name == "superblock"
     assert get_backend("superblock").name == "superblock"
     instance = SuperblockBackend()
     assert get_backend(instance) is instance

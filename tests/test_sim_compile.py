@@ -115,3 +115,63 @@ target:
 def test_compile_program_rejects_unknown_mode():
     with pytest.raises(ValueError, match="unknown specialization mode"):
         compile_program(assemble(LOOP_SOURCE), "jit")
+
+
+def test_compiled_loop_drains_chunks_at_back_edges():
+    # the 400-iteration loop retires in one compiled call; its events
+    # must be cut into chunks as the loop runs, not only after the call
+    from repro.pipeline.bus import BranchEventBus
+
+    staged_at_dispatch = []
+
+    class Probe:
+        name = "probe"
+
+        def on_chunk(self, chunk):
+            staged_at_dispatch.append(len(bus._pcs))
+
+        def finish(self):
+            return None
+
+    bus = BranchEventBus([Probe()], chunk_events=16)
+    sim = Simulator(assemble(LOOP_SOURCE), branch_hook=bus,
+                    backend="superblock")
+    sim.run(allow_truncation=False)
+    assert len(bus._pcs) < 16  # the caller never sees a full chunk staged
+    bus.finish()
+    assert bus.stats.chunk_flushes == 25 and bus.stats.delivered == 400
+    assert max(staged_at_dispatch[:-1]) == 16
+
+
+def test_restored_snapshot_feeds_the_compiled_memory_path():
+    # a restore replaces every page; compiled loads and stores index the
+    # pages' int32 views, which must be the restored ones
+    from repro.checkpoint.snapshot import restore_simulator, snapshot_simulator
+    from repro.isa.program import DATA_BASE
+
+    program = assemble("""
+main:
+    la x5, cell
+    lw x6, 0(x5)
+    addi x6, x6, 1
+    sw x6, 4(x5)
+    halt
+.data
+cell: .word 7, 0
+""")
+    snap = snapshot_simulator(Simulator(program, backend="superblock"))
+    page_number = DATA_BASE >> 12
+    page = bytearray(snap["pages"][page_number])
+    page[0:4] = (41).to_bytes(4, "little")
+    snap["pages"] = {**snap["pages"], page_number: bytes(page)}
+
+    sim = Simulator(program, backend="superblock")
+    sim.run(allow_truncation=False)  # compiled code ran on the old pages
+    assert sim.state.read(6) == 8
+    restore_simulator(sim, snap)
+    sim.run(allow_truncation=False)
+    assert isinstance(sim.executor, SuperblockExecutor)
+    assert sim.state.read(6) == 42
+    assert sim.state.memory.load_word(DATA_BASE + 4) == 42
+    restored = sim.state.memory.export_pages()[page_number]
+    assert restored[4:8] == (42).to_bytes(4, "little")

@@ -95,3 +95,39 @@ def test_last_write_wins_property(writes):
         expected[address] = value
     for address, value in expected.items():
         assert memory.load_byte(address) == value
+
+
+def test_word_views_alias_their_pages():
+    memory = Memory()
+    memory.store_word(0x2008, -5)
+    pages, words = memory.page_tables()
+    assert sorted(pages) == sorted(words) == [0x2]
+    assert words[0x2][2] == -5
+    words[0x2][3] = 0x1234_5678
+    assert memory.load_word(0x200C) == 0x1234_5678
+
+
+def test_export_restore_round_trip_keeps_views_in_sync():
+    memory = Memory()
+    memory.store_word(0x1000, 11)
+    memory.store_byte(0x5FFF, 0x80)
+    exported = memory.export_pages()
+    assert sorted(exported) == [0x1, 0x5]
+    assert all(isinstance(page, bytes) for page in exported.values())
+
+    other = Memory()
+    pages, words = other.page_tables()
+    other.store_word(0x9000, 1)  # replaced wholesale by the restore
+    other.restore_pages(exported)
+    assert other.export_pages() == exported
+    # the tables handed out before the restore are the live ones
+    assert sorted(pages) == sorted(words) == [0x1, 0x5]
+    assert words[0x1][0] == 11
+    words[0x1][0] = 12
+    assert other.load_word(0x1000) == 12
+    assert memory.load_word(0x1000) == 11  # no sharing with the source
+
+
+def test_restore_rejects_short_pages():
+    with pytest.raises(ValueError, match="expected 4096"):
+        Memory().restore_pages({0: b"\x00" * 12})
